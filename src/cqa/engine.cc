@@ -93,7 +93,6 @@ Result<ResultSet> HippoEngine::ServeFirstOrder(const PlanNode& original,
   if (body->kind() == PlanKind::kSort) body = &body->child(0);
   ExecContext ctx{&catalog_, nullptr};
   ctx.parallel.num_threads = options.num_threads;
-  ctx.engine = options.exec_engine;
   obs::TraceSpan* span = options.trace == nullptr
                              ? nullptr
                              : options.trace->StartChild("evaluate");
@@ -154,14 +153,13 @@ Result<ResultSet> HippoEngine::ServeProver(const PlanNode& plan,
 
   // 1. Enveloping + evaluation by the relational engine. The evaluation
   //    shares the prover loop's thread budget: with num_threads > 1 the
-  //    executor partitions its row-at-a-time operators (filter, project,
-  //    join/anti-join probe, product) into row ranges merged in partition
-  //    order, so the candidate set — rows and order — is bit-identical to
-  //    the serial evaluation (see ExecParallel in exec/executor.h).
+  //    executor partitions its per-row work (filter, computed project,
+  //    join/anti-join probe) into row ranges merged in partition order, so
+  //    the candidate set — rows and order — is bit-identical to the serial
+  //    evaluation (see ExecParallel in exec/executor.h).
   PlanNodePtr envelope = BuildEnvelope(plan);
   ExecContext ctx{&catalog_, nullptr};
   ctx.parallel.num_threads = options.num_threads;
-  ctx.engine = options.exec_engine;
   obs::TraceSpan* envelope_span =
       options.trace == nullptr ? nullptr
                                : options.trace->StartChild("envelope");

@@ -58,23 +58,13 @@ struct DetectOptions {
   /// Minimum probe-side live rows of a generic-join constraint (or child
   /// rows of a foreign key) per row-range partition: when num_threads > 1
   /// and the probe side exceeds this, the unit is split into contiguous
-  /// partitions of the materialized probe input. The build sides are
-  /// materialized and hash-built ONCE per constraint (by the first worker
-  /// to arrive, under a once-flag) and probed read-only by every
-  /// partition, so a single hot generic constraint parallelizes without
-  /// duplicating build work. Must be >= 1 (Validate); use SIZE_MAX to
-  /// disable probe partitioning.
+  /// partitions of the columnar probe scan. The build sides are scanned
+  /// and hash-built ONCE per constraint (by the first worker to arrive,
+  /// under a once-flag) and probed read-only by every partition, so a
+  /// single hot generic constraint parallelizes without duplicating build
+  /// work. Must be >= 1 (Validate); use SIZE_MAX to disable probe
+  /// partitioning.
   size_t partition_rows = 8192;
-
-  /// Physical engine for the generic-join and foreign-key probes: kBatch
-  /// probes the tables' shared columnar views with the batch join kernels
-  /// (witness rowids read straight off the scan's physical indexes, no row
-  /// materialization); kRow keeps the row-at-a-time kernels as the
-  /// differential-testing oracle. Both produce identical edges, edge ids,
-  /// and provenance. The FD fast path is engine-independent. Declared last
-  /// so the positional `{fast_path, threads, shard, partition}` brace
-  /// initializers in existing callers stay valid.
-  ExecEngine engine = ExecEngine::kBatch;
 
   /// Rejects nonsensical combinations with InvalidArgument instead of a
   /// silent fallback: zero shard_rows / partition_rows (formerly a hidden
@@ -134,7 +124,7 @@ class ConflictDetector {
 
  private:
   // Lazily-built shared read-only state for one partitioned work unit (the
-  // materialized inputs plus the hash-join build tables); defined in
+  // columnar scans plus the hash-join build tables); defined in
   // detector.cc, built under a once-flag by the first partition's worker.
   struct GenericShared;
   struct FkShared;

@@ -75,10 +75,13 @@ void MergeHippoStats(const cqa::HippoStats& from, cqa::HippoStats* into) {
 }
 
 /// Wall seconds since `from`.
+double SecondsBetween(std::chrono::steady_clock::time_point from,
+                      std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
+}
+
 double SecondsSince(std::chrono::steady_clock::time_point from) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       from)
-      .count();
+  return SecondsBetween(from, std::chrono::steady_clock::now());
 }
 
 }  // namespace
@@ -371,7 +374,7 @@ void QueryService::ProcessSmallGroup(std::vector<CommitRequest> group) {
     std::lock_guard<std::mutex> lock(master_mu_);
     auto apply_start = std::chrono::steady_clock::now();
     for (CommitRequest& req : group) {
-      req.queue_seconds = SecondsSince(req.admitted);
+      req.queue_seconds = SecondsBetween(req.admitted, apply_start);
       req.applied = master_->Execute(req.sql);
     }
     shared.apply_seconds = SecondsSince(apply_start);
@@ -418,7 +421,7 @@ void QueryService::ProcessSyncRedetect(std::vector<CommitRequest> group) {
     master_->InvalidateHypergraph();
     auto apply_start = std::chrono::steady_clock::now();
     for (CommitRequest& req : group) {
-      req.queue_seconds = SecondsSince(req.admitted);
+      req.queue_seconds = SecondsBetween(req.admitted, apply_start);
       req.applied = master_->Execute(req.sql);
     }
     shared.apply_seconds = SecondsSince(apply_start);
@@ -456,7 +459,7 @@ void QueryService::StartAsyncRound(std::vector<CommitRequest> group) {
   detect_thread_ = std::thread([this] {
     auto apply_start = std::chrono::steady_clock::now();
     for (CommitRequest& req : round_group_) {
-      req.queue_seconds = SecondsSince(req.admitted);
+      req.queue_seconds = SecondsBetween(req.admitted, apply_start);
       req.applied = fork_->Execute(req.sql);
     }
     double apply_seconds = SecondsSince(apply_start);

@@ -1,21 +1,32 @@
-// Columnar-vs-row differential battery: the vectorized batch engine
-// (ExecEngine::kBatch) must be BIT-identical to the row-at-a-time oracle
-// (ExecEngine::kRow) — same rows in the same order for every route the
-// router can take (conflict-free plain evaluation, first-order rewriting,
-// envelope + prover), same conflict hyperedges with the same edge ids and
-// provenance from detection, and all of it must survive view-invalidating
-// writes (inserts rebuild Table's memoized columnar view, deletes tombstone
-// under it). Instances are seeded random and NULL-heavy, since SQL
-// three-valued logic and NULL join keys are where vectorized rewrites
+// Batch-executor differential battery: the vectorized columnar executor
+// must return exactly the rows, in exactly the order, that the naive
+// evaluator of tests/naive_oracle.h returns — on every pool query's plan
+// (as planned and as optimized), on its envelope, and on its first-order
+// rewriting when the router has one, serially and with every operator
+// partitioned. Consistent answers on every route must equal, as sets, the
+// intersection of the naive evaluator's output over every repair, and
+// detection (serial, parallel, partitioned, and the database's own
+// hypergraph) must equal NaiveDetect, with edge ids identical across
+// parallel configurations. All of it must survive view-invalidating
+// writes (inserts rebuild Table's memoized columnar view, deletes
+// tombstone under it). Instances are seeded random and NULL-heavy, since
+// SQL three-valued logic and NULL join keys are where vectorized kernels
 // classically diverge.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "cqa/envelope.h"
 #include "db/database.h"
 #include "detect/detector.h"
+#include "plan/optimizer.h"
+#include "plan/router.h"
+#include "plan/sjud.h"
+#include "repairs/repair_enumerator.h"
+#include "tests/naive_oracle.h"
 #include "tests/test_util.h"
 
 namespace hippo {
@@ -85,30 +96,93 @@ std::vector<std::string> QueryPool() {
       "SELECT d, e FROM s UNION SELECT f, g FROM t",
       "SELECT d, e FROM s INTERSECT SELECT f, g FROM t",
       "SELECT f FROM t ORDER BY f",
+      "SELECT b, COUNT(*) FROM r GROUP BY b",
   };
 }
 
-/// Runs `sql` under every forced route with both engines; each
-/// (route, query) pair must agree on the exact row sequence. Routes that
-/// cannot serve a query must refuse identically under both engines.
-void CrossCheckEngines(Database* db, const std::string& sql) {
+/// Execute must return the naive evaluator's rows in the naive order,
+/// serially and with every operator split into single-row partitions.
+void ExpectExecuteMatchesNaive(const Catalog& catalog, const PlanNode& plan,
+                               const std::string& what) {
+  auto want = NaiveExecute(plan, catalog, nullptr);
+  ASSERT_OK(want.status()) << what;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ExecContext ctx{&catalog, nullptr};
+    ctx.parallel.num_threads = threads;
+    ctx.parallel.min_partition_rows = 1;
+    auto got = Execute(plan, ctx);
+    ASSERT_OK(got.status()) << what;
+    EXPECT_EQ(got.value().rows, want.value())
+        << what << " x" << threads
+        << ": batch executor diverged from the naive evaluator";
+  }
+}
+
+/// The plan as planned and as optimized, its envelope (SJUD plans), and
+/// its first-order rewriting when the router has one.
+void CheckPlans(Database* db, const std::string& sql) {
+  auto plan = db->Plan(sql);
+  ASSERT_OK(plan.status()) << sql;
+  const Catalog& catalog = db->catalog();
+  ExpectExecuteMatchesNaive(catalog, *plan.value(), sql + " [plan]");
+  ExpectExecuteMatchesNaive(catalog, *OptimizePlan(*plan.value()),
+                            sql + " [optimized]");
+  if (CheckSjudSupported(*plan.value()).ok()) {
+    ExpectExecuteMatchesNaive(catalog, *cqa::BuildEnvelope(*plan.value()),
+                              sql + " [envelope]");
+  }
+  auto graph = db->Hypergraph();
+  ASSERT_OK(graph.status());
+  auto route = ClassifyRoute(*plan.value(), catalog, &db->constraints(),
+                             &db->foreign_keys(), graph.value(),
+                             RouteMode::kForceRewrite);
+  if (route.ok() && route.value().rewritten != nullptr) {
+    ExpectExecuteMatchesNaive(catalog, *route.value().rewritten,
+                              sql + " [rewritten]");
+  }
+}
+
+/// Consistent answers on every route the router can take must equal the
+/// rows the naive evaluator returns over every repair. A route may refuse
+/// a query only with NotSupported, and the auto and prover routes serve
+/// every SJUD query.
+void CheckCertainAnswers(Database* db, const std::string& sql,
+                         const std::vector<RowMask>& repairs) {
+  auto plan = db->Plan(sql);
+  ASSERT_OK(plan.status()) << sql;
+  std::vector<Row> certain;
+  for (size_t i = 0; i < repairs.size(); ++i) {
+    auto rows = NaiveExecute(*plan.value(), db->catalog(), &repairs[i]);
+    ASSERT_OK(rows.status()) << sql;
+    if (i == 0) {
+      certain = naive_internal::Distinct(rows.value());
+      continue;
+    }
+    std::vector<Row> kept;
+    for (const Row& row : certain) {
+      if (naive_internal::Contains(rows.value(), row)) kept.push_back(row);
+    }
+    certain = std::move(kept);
+  }
+  certain = SortedRows(std::move(certain));
+
+  bool sjud = CheckSjudSupported(*plan.value()).ok();
   for (RouteMode route : {RouteMode::kAuto, RouteMode::kForceRewrite,
                           RouteMode::kForceProver}) {
-    cqa::HippoOptions batch_opts;
-    batch_opts.route = route;
-    batch_opts.exec_engine = ExecEngine::kBatch;
-    cqa::HippoOptions row_opts = batch_opts;
-    row_opts.exec_engine = ExecEngine::kRow;
-
-    auto batch = db->ConsistentAnswers(sql, batch_opts);
-    auto row = db->ConsistentAnswers(sql, row_opts);
-    ASSERT_EQ(batch.ok(), row.ok())
-        << sql << " (route mode " << static_cast<int>(route)
-        << "): engines disagree on servability";
-    if (!batch.ok()) continue;
-    EXPECT_EQ(batch.value().rows, row.value().rows)
-        << sql << " (route mode " << static_cast<int>(route)
-        << "): batch engine diverged from the row oracle";
+    cqa::HippoOptions options;
+    options.route = route;
+    auto got = db->ConsistentAnswers(sql, options);
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().code(), StatusCode::kNotSupported)
+          << sql << ": " << got.status().ToString();
+      EXPECT_FALSE(sjud && route != RouteMode::kForceRewrite)
+          << sql << " (route mode " << RouteModeName(route)
+          << "): an SJUD query was refused";
+      continue;
+    }
+    EXPECT_EQ(SortedRows(got.value()), certain)
+        << sql << " (route mode " << RouteModeName(route)
+        << "): consistent answers differ from the all-repairs intersection";
   }
 }
 
@@ -125,61 +199,88 @@ EdgeDump DumpEdges(const ConflictHypergraph& g) {
   return dump;
 }
 
-/// Both engines must produce the same edges with the same IDS — serially
-/// (historical insertion order) and in parallel (BulkLoad order).
-void CrossCheckDetection(Database* db, size_t num_threads) {
-  DetectOptions batch_opts;
-  batch_opts.num_threads = num_threads;
-  batch_opts.engine = ExecEngine::kBatch;
-  DetectOptions row_opts = batch_opts;
-  row_opts.engine = ExecEngine::kRow;
+ConflictHypergraph DetectWith(Database* db, const DetectOptions& options) {
+  ConflictDetector detector(db->catalog(), options);
+  auto g = detector.DetectAll(db->constraints(), db->foreign_keys());
+  EXPECT_OK(g.status());
+  return g.ok() ? std::move(g).value() : ConflictHypergraph();
+}
 
-  ConflictDetector batch_det(db->catalog(), batch_opts);
-  ConflictDetector row_det(db->catalog(), row_opts);
-  auto batch_g = batch_det.DetectAll(db->constraints(), db->foreign_keys());
-  auto row_g = row_det.DetectAll(db->constraints(), db->foreign_keys());
-  ASSERT_OK(batch_g.status());
-  ASSERT_OK(row_g.status());
-  EXPECT_EQ(DumpEdges(batch_g.value()), DumpEdges(row_g.value()))
-      << "batch detection diverged from the row oracle at "
-      << num_threads << " threads";
+/// Serial, generic-path, and parallel detection must find NaiveDetect's
+/// edges and provenance; the parallel runs (whole units, and every
+/// constraint split into single-row partitions and shards) must also agree
+/// on every edge id.
+void CheckDetection(Database* db) {
+  auto naive =
+      NaiveDetect(db->catalog(), db->constraints(), db->foreign_keys())
+          .CanonicalEdges();
 
-  // The generic path must agree with the FD fast path under both engines.
-  DetectOptions no_fast = batch_opts;
-  no_fast.use_fd_fast_path = false;
-  ConflictDetector generic_det(db->catalog(), no_fast);
-  auto generic_g =
-      generic_det.DetectAll(db->constraints(), db->foreign_keys());
-  ASSERT_OK(generic_g.status());
-  EXPECT_EQ(generic_g.value().CanonicalEdges(),
-            batch_g.value().CanonicalEdges())
-      << "batch generic path diverged from the FD fast path";
+  DetectOptions serial;
+  EXPECT_EQ(DetectWith(db, serial).CanonicalEdges(), naive)
+      << "serial detection diverged from the naive detector";
+  DetectOptions generic;
+  generic.use_fd_fast_path = false;
+  EXPECT_EQ(DetectWith(db, generic).CanonicalEdges(), naive)
+      << "generic-join detection diverged from the naive detector";
+  auto maintained = db->Hypergraph();
+  ASSERT_OK(maintained.status());
+  EXPECT_EQ(maintained.value()->CanonicalEdges(), naive)
+      << "the database's hypergraph diverged from the naive detector";
+
+  DetectOptions parallel;
+  parallel.num_threads = 4;
+  ConflictHypergraph reference = DetectWith(db, parallel);
+  EXPECT_EQ(reference.CanonicalEdges(), naive)
+      << "parallel detection diverged from the naive detector";
+  DetectOptions two = parallel;
+  two.num_threads = 2;
+  DetectOptions split = parallel;
+  split.shard_rows = 1;
+  split.partition_rows = 1;
+  for (const DetectOptions& options : {two, split}) {
+    EXPECT_EQ(DumpEdges(DetectWith(db, options)), DumpEdges(reference))
+        << "edge ids depend on the parallel configuration ("
+        << options.num_threads << " threads, partition_rows "
+        << options.partition_rows << ")";
+  }
+}
+
+/// The whole battery on the instance's current state.
+void CheckAll(Database* db) {
+  for (const std::string& sql : QueryPool()) {
+    CheckPlans(db, sql);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  auto graph = db->Hypergraph();
+  ASSERT_OK(graph.status());
+  auto repairs = RepairEnumerator(db->catalog(), *graph.value())
+                     .EnumerateMasks(/*limit=*/100000);
+  ASSERT_OK(repairs.status());
+  for (const std::string& sql : QueryPool()) {
+    CheckCertainAnswers(db, sql, repairs.value());
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  CheckDetection(db);
 }
 
 class ColumnarDifferential : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ColumnarDifferential, EnginesAgreeOnNullHeavyInstances) {
+TEST_P(ColumnarDifferential, BatchMatchesNaiveOnNullHeavyInstances) {
   Database db;
   BuildRandomInstance(&db, GetParam(), /*null_rate=*/0.35);
   if (::testing::Test::HasFatalFailure()) return;
-
-  for (const std::string& sql : QueryPool()) {
-    CrossCheckEngines(&db, sql);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-  CrossCheckDetection(&db, /*num_threads=*/1);
-  CrossCheckDetection(&db, /*num_threads=*/4);
+  CheckAll(&db);
 }
 
-TEST_P(ColumnarDifferential, EnginesAgreeAfterViewInvalidatingWrites) {
+TEST_P(ColumnarDifferential, BatchMatchesNaiveAfterViewInvalidatingWrites) {
   Database db;
   BuildRandomInstance(&db, GetParam(), /*null_rate=*/0.35);
   if (::testing::Test::HasFatalFailure()) return;
 
-  // Materialize the columnar views (and the incremental hypergraph) so the
-  // writes below exercise invalidation and maintenance, not first builds.
-  CrossCheckEngines(&db, "SELECT * FROM r");
-  CrossCheckDetection(&db, /*num_threads=*/1);
+  // Materialize the columnar views (and the hypergraph) so the writes
+  // below exercise invalidation and maintenance, not first builds.
+  CheckPlans(&db, "SELECT * FROM r");
+  CheckDetection(&db);
   if (::testing::Test::HasFatalFailure()) return;
 
   std::mt19937_64 rng(GetParam() ^ 0x5eedULL);
@@ -192,13 +293,7 @@ TEST_P(ColumnarDifferential, EnginesAgreeAfterViewInvalidatingWrites) {
       "DELETE FROM r WHERE b = 1;"
       "DELETE FROM s WHERE d IS NULL;"
       "UPDATE t SET g = 7 WHERE f = 2"));
-
-  for (const std::string& sql : QueryPool()) {
-    CrossCheckEngines(&db, sql);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-  CrossCheckDetection(&db, /*num_threads=*/1);
-  CrossCheckDetection(&db, /*num_threads=*/4);
+  CheckAll(&db);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarDifferential,

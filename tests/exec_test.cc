@@ -214,19 +214,35 @@ TEST(OperatorsTest, DedupPreservesFirstOccurrenceOrder) {
   EXPECT_EQ(out[2][0], Value::Int(3));
 }
 
-TEST(OperatorsTest, AntiJoinKernel) {
-  // left rows with no right partner under l0 = r0.
-  std::vector<Row> left = {{Value::Int(1)}, {Value::Int(2)}, {Value::Int(3)}};
-  std::vector<Row> right = {{Value::Int(2)}};
+TEST(OperatorsTest, AntiJoinPlanKeepsUnmatchedAndNullKeyedRows) {
+  // l rows with no m partner under l.x = m.y: a NULL key matches nothing,
+  // so the NULL-keyed l row survives and the NULL m row removes nothing.
+  Database db;
+  ASSERT_OK(db.Execute(
+      "CREATE TABLE l (x INTEGER); CREATE TABLE m (y INTEGER);"
+      "INSERT INTO l VALUES (1),(2),(NULL),(3),(2);"
+      "INSERT INTO m VALUES (2),(NULL)"));
+  auto l = db.catalog().GetTable("l");
+  auto m = db.catalog().GetTable("m");
+  ASSERT_OK(l.status());
+  ASSERT_OK(m.status());
   auto cond = std::make_unique<ComparisonExpr>(
       CompareOp::kEq, ColumnRefExpr::Bound(0, TypeId::kInt),
       ColumnRefExpr::Bound(1, TypeId::kInt));
   cond->set_result_type(TypeId::kBool);
-  std::vector<Row> out;
-  exec::AntiJoinRows(left, right, *cond, 1, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0][0], Value::Int(1));
-  EXPECT_EQ(out[1][0], Value::Int(3));
+  AntiJoinNode plan(
+      ScanNode::Make(l.value()->id(), "l", "l", l.value()->schema()),
+      ScanNode::Make(m.value()->id(), "m", "m", m.value()->schema()),
+      std::move(cond));
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ExecContext ctx{&db.catalog(), nullptr};
+    ctx.parallel.num_threads = threads;
+    ctx.parallel.min_partition_rows = 1;
+    auto rs = Execute(plan, ctx);
+    ASSERT_OK(rs.status());
+    std::vector<Row> want = {{Value::Int(1)}, {Value::Null()}, {Value::Int(3)}};
+    EXPECT_EQ(rs.value().rows, want) << threads << " threads";
+  }
 }
 
 }  // namespace

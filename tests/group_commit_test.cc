@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -125,16 +126,48 @@ struct Committed {
 /// maintainer and rebuild the graph from scratch (the serial equivalent of
 /// both the sync redetect path and the async fork round — full detection
 /// depends only on the resulting state, so per-commit rebuilds converge to
-/// the same graph as the pipeline's one-rebuild-per-group).
+/// the same graph as the pipeline's one-rebuild-per-group). A script that
+/// failed on the pipeline must fail the same way here, keeping the prefix
+/// it applied.
 void OracleApply(Database* oracle, const Committed& entry) {
+  Status st;
   if (entry.receipt.phases.redetected) {
     oracle->DisableIncrementalMaintenance();
-    ASSERT_OK(oracle->Execute(entry.sql));
+    st = oracle->Execute(entry.sql);
     oracle->InvalidateHypergraph();
     ASSERT_OK(oracle->EnableIncrementalMaintenance());
   } else {
-    ASSERT_OK(oracle->Execute(entry.sql));
+    st = oracle->Execute(entry.sql);
   }
+  ASSERT_EQ(st.code(), entry.receipt.status.code())
+      << entry.sql << ": " << st.ToString();
+}
+
+/// Runs `submit` while another thread holds the master inside WithMaster.
+/// The pipeline thread blocks at the apply of the first group it forms, so
+/// everything `submit` admits after that queues behind it. Returns after
+/// the stall is released.
+void WhileMasterHeld(QueryService* service,
+                     const std::function<void()>& submit) {
+  std::promise<void> holding;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread holder([&] {
+    EXPECT_OK(service->WithMaster([&](Database&) {
+      holding.set_value();
+      released.wait();
+      return Status::OK();
+    }));
+  });
+  holding.get_future().wait();
+  submit();
+  release.set_value();
+  holder.join();
+}
+
+double SecondsBetween(std::chrono::steady_clock::time_point from,
+                      std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
 }
 
 // ---------------------------------------------------------------------------
@@ -496,27 +529,160 @@ TEST(GroupCommit, RejectModeResolvesOverflowWithResourceExhausted) {
   QueryService service(options);
   ASSERT_OK(service.Commit(kSchema));
 
-  size_t landed = 0;
-  size_t rejected = 0;
-  for (size_t i = 0; i < 64; ++i) {
-    CommitReceipt r =
-        service
-            .CommitAsync(StrFormat("INSERT INTO dept VALUES (%zu, 1)", i))
-            .get();
-    if (r.status.ok()) {
-      ++landed;
-    } else {
-      ASSERT_EQ(r.status.code(), StatusCode::kResourceExhausted);
-      ++rejected;
+  // With the pipeline stalled, only its first group and the two ring slots
+  // can admit commits; the rest of the burst must be rejected at once.
+  std::vector<std::future<CommitReceipt>> futures;
+  WhileMasterHeld(&service, [&] {
+    for (size_t i = 0; i < 64; ++i) {
+      futures.push_back(service.CommitAsync(
+          StrFormat("INSERT INTO dept VALUES (%zu, 1)", i)));
     }
+  });
+  std::vector<Row> landed;
+  size_t rejected = 0;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    CommitReceipt r = futures[i].get();
+    if (r.status.ok()) {
+      landed.push_back({Value::Int(static_cast<int64_t>(i))});
+      continue;
+    }
+    ASSERT_EQ(r.status.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(r.epoch, 0u);
+    EXPECT_EQ(r.snapshot, nullptr);
+    ++rejected;
   }
-  // Blocking .get() per commit means the ring drains between submissions,
-  // so everything lands; the mode's contract is "never block, maybe
-  // reject" — verify accounting matches whichever happened.
-  EXPECT_EQ(landed + rejected, 64u);
+  EXPECT_GE(rejected, 1u);
+  EXPECT_EQ(landed.size() + rejected, 64u);
   Result<ResultSet> rows = service.snapshot()->Query("SELECT did FROM dept");
   ASSERT_OK(rows.status());
-  EXPECT_EQ(rows.value().rows.size(), landed);
+  EXPECT_EQ(SortedRows(rows.value()), SortedRows(landed));
+}
+
+// ---------------------------------------------------------------------------
+// Phase timings and failure paths.
+// ---------------------------------------------------------------------------
+
+TEST(GroupCommit, QueuePhaseEndsAtTheGroupApplyStart) {
+  ServiceOptions options = PipelineOptions();
+  options.bulk_redetect_statements = 1024;  // 32-statement scripts stay small
+  QueryService service(options);
+  ASSERT_OK(service.Commit(kSchema));
+  ASSERT_OK(service.Commit(kSeed));
+
+  std::vector<std::string> scripts;
+  for (size_t s = 0; s < 16; ++s) {
+    std::string script;
+    for (size_t i = 0; i < 32; ++i) {
+      script += StrFormat("INSERT INTO emp VALUES ('q%zu_%zu', 1, %zu);", s,
+                          i % 8, i);
+    }
+    scripts.push_back(std::move(script));
+  }
+  std::vector<std::future<CommitReceipt>> futures;
+  std::chrono::steady_clock::time_point submitted;
+  WhileMasterHeld(&service, [&] {
+    submitted = std::chrono::steady_clock::now();
+    futures = service.CommitMany(std::move(scripts));
+  });
+
+  std::map<uint64_t, std::vector<CommitReceipt>> epochs;
+  for (std::future<CommitReceipt>& fut : futures) {
+    CommitReceipt r = fut.get();
+    double waited =
+        SecondsBetween(submitted, std::chrono::steady_clock::now());
+    ASSERT_OK(r.status);
+    // Queue, apply and publish are disjoint spans inside the wait.
+    EXPECT_LE(r.phases.queue_seconds + r.phases.apply_seconds +
+                  r.phases.publish_seconds,
+              waited)
+        << "sequence " << r.sequence;
+    epochs[r.epoch].push_back(std::move(r));
+  }
+  size_t grouped = 0;
+  for (auto& [epoch, receipts] : epochs) {
+    if (receipts.front().group_size < 2) continue;
+    ++grouped;
+    std::sort(receipts.begin(), receipts.end(),
+              [](const CommitReceipt& a, const CommitReceipt& b) {
+                return a.sequence < b.sequence;
+              });
+    // One apply start for the whole group: later admissions wait less.
+    for (size_t k = 1; k < receipts.size(); ++k) {
+      EXPECT_LE(receipts[k].phases.queue_seconds,
+                receipts[k - 1].phases.queue_seconds)
+          << "epoch " << epoch << ", sequence " << receipts[k].sequence;
+    }
+  }
+  EXPECT_GE(grouped, 1u) << "no group commit formed behind the stall";
+}
+
+TEST(GroupCommit, FailingStatementInsideABulkGroupKeepsItsPrefix) {
+  QueryService service(PipelineOptions());  // async rounds, bulk >= 16
+  std::vector<Committed> log;
+  for (const char* sql : {kSchema, kSeed}) {
+    CommitReceipt r = service.CommitAsync(sql).get();
+    ASSERT_OK(r.status);
+    log.push_back({std::move(r), sql});
+  }
+
+  // Three bulk scripts with FD conflicts inside each; the last one ends
+  // with a statement on a missing table.
+  std::vector<std::string> scripts;
+  for (size_t s = 0; s < 3; ++s) {
+    std::string script;
+    for (size_t i = 0; i < 20; ++i) {
+      script += StrFormat("INSERT INTO emp VALUES ('f%zu_%zu', %zu, %zu);", s,
+                          i % 7, 1 + i % 3, i);
+    }
+    scripts.push_back(std::move(script));
+  }
+  scripts.back() += "INSERT INTO nosuch VALUES (1)";
+
+  // A small commit admitted first stalls the pipeline at its own apply,
+  // so the three bulk scripts queue behind it and form one re-detect group.
+  std::vector<std::string> sqls = {"INSERT INTO dept VALUES (4, 400)"};
+  sqls.insert(sqls.end(), scripts.begin(), scripts.end());
+  std::vector<std::future<CommitReceipt>> futures;
+  WhileMasterHeld(&service,
+                  [&] { futures = service.CommitMany(sqls); });
+  for (size_t i = 0; i < futures.size(); ++i) {
+    log.push_back({futures[i].get(), sqls[i]});
+  }
+
+  const CommitReceipt& blocker = log[2].receipt;
+  ASSERT_OK(blocker.status);
+  EXPECT_FALSE(blocker.phases.redetected);
+  const CommitReceipt& failed = log.back().receipt;
+  EXPECT_FALSE(failed.status.ok());
+  for (size_t i = 3; i < log.size(); ++i) {
+    const CommitReceipt& r = log[i].receipt;
+    EXPECT_TRUE(r.phases.redetected) << "bulk " << i;
+    EXPECT_EQ(r.group_size, 3u) << "bulk " << i;
+    EXPECT_EQ(r.epoch, failed.epoch) << "bulk " << i;
+    ASSERT_NE(r.snapshot, nullptr) << "bulk " << i;
+    if (i + 1 < log.size()) {
+      EXPECT_OK(r.status) << "bulk " << i;
+    }
+  }
+
+  // The failing script's inserts before the error are applied and
+  // published with the round.
+  Result<ResultSet> prefix =
+      failed.snapshot->Query("SELECT salary FROM emp WHERE name = 'f2_0'");
+  ASSERT_OK(prefix.status());
+  EXPECT_EQ(prefix.value().rows.size(), 3u);
+
+  // The final state equals serial application of the same scripts.
+  std::unique_ptr<Database> oracle = MakeOracle();
+  for (const Committed& entry : log) {
+    OracleApply(oracle.get(), entry);
+    ASSERT_FALSE(::testing::Test::HasFailure()) << entry.sql;
+  }
+  SnapshotPtr snap = service.snapshot();
+  ExpectCatalogsIdentical(snap->catalog(), oracle->catalog());
+  Result<const ConflictHypergraph*> graph = oracle->Hypergraph();
+  ASSERT_OK(graph.status());
+  ExpectGraphsIdentical(snap->hypergraph(), *graph.value());
 }
 
 }  // namespace
