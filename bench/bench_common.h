@@ -64,10 +64,15 @@ inline void WarmHypergraph(Database* db) {
   HIPPO_CHECK_MSG(g.ok(), g.status().ToString().c_str());
 }
 
+// The paper's two modes. Both pin the prover route, so the paper series
+// measure the paper's pipeline (envelope, grounding, HProver) rather than
+// whichever route the router would pick; a bench comparing routes sets
+// `route` itself.
 inline cqa::HippoOptions KgOptions(bool filtering = true) {
   cqa::HippoOptions opt;
   opt.membership = cqa::HippoOptions::MembershipMode::kKnowledgeGathering;
   opt.use_filtering = filtering;
+  opt.route = RouteMode::kForceProver;
   return opt;
 }
 
@@ -75,7 +80,18 @@ inline cqa::HippoOptions BaseOptions(bool filtering = false) {
   cqa::HippoOptions opt;
   opt.membership = cqa::HippoOptions::MembershipMode::kQuery;
   opt.use_filtering = filtering;
+  opt.route = RouteMode::kForceProver;
   return opt;
+}
+
+/// Asserts that a paper-series call did the paper's work: it ran on the
+/// prover route, grounded candidates through membership checks and, when
+/// the instance has conflicts, invoked the prover.
+inline void CheckProverWork(const cqa::HippoStats& stats, bool conflicts) {
+  HIPPO_CHECK(stats.routed_prover > 0);
+  HIPPO_CHECK(stats.candidates > 0);
+  HIPPO_CHECK(stats.membership_checks > 0);
+  if (conflicts) HIPPO_CHECK(stats.prover_invocations > 0);
 }
 
 /// True when `--table-only` is among the arguments: print the paper-style

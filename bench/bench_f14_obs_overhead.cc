@@ -87,6 +87,7 @@ double DriveMixOnce(ObsConfig config) {
                                    ? QuerySet::Difference()
                                    : tractable[i % tractable.size()];
       cqa::HippoOptions opt = KgOptions();
+      opt.route = RouteMode::kAuto;  // the routed service mix
       if (config == ObsConfig::kTraced) {
         spans.emplace_back("query");
         opt.trace = &spans.back();

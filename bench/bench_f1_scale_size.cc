@@ -80,15 +80,21 @@ void PrintFigureTable() {
   for (size_t n : {1024u, 4096u, 16384u, 65536u, 131072u}) {
     Database* db = Db(n);
     double plain = TimeOnce([&] { HIPPO_CHECK(db->Query(kJoin).ok()); });
-    double kg = TimeOnce(
-        [&] { HIPPO_CHECK(db->ConsistentAnswers(kJoin, KgOptions()).ok()); });
+    cqa::HippoStats kg_stats;
+    double kg = TimeOnce([&] {
+      HIPPO_CHECK(db->ConsistentAnswers(kJoin, KgOptions(), &kg_stats).ok());
+    });
+    CheckProverWork(kg_stats, /*conflicts=*/true);
     double rewr = TimeOnce(
         [&] { HIPPO_CHECK(db->ConsistentAnswersByRewriting(kJoin).ok()); });
     std::string base = "-";
     if (n <= 4096) {
+      cqa::HippoStats base_stats;
       base = FormatSeconds(TimeOnce([&] {
-        HIPPO_CHECK(db->ConsistentAnswers(kJoin, BaseOptions()).ok());
+        HIPPO_CHECK(
+            db->ConsistentAnswers(kJoin, BaseOptions(), &base_stats).ok());
       }));
+      CheckProverWork(base_stats, /*conflicts=*/true);
     }
     table.AddRow({std::to_string(n), FormatSeconds(plain), FormatSeconds(kg),
                   base, FormatSeconds(rewr),
@@ -108,8 +114,11 @@ void PrintFigureTable() {
     double all = TimeOnce([&] {
       HIPPO_CHECK(db->ConsistentAnswersAllRepairs(kJoin, 1u << 22).ok());
     });
-    double kg = TimeOnce(
-        [&] { HIPPO_CHECK(db->ConsistentAnswers(kJoin, KgOptions()).ok()); });
+    cqa::HippoStats kg_stats;
+    double kg = TimeOnce([&] {
+      HIPPO_CHECK(db->ConsistentAnswers(kJoin, KgOptions(), &kg_stats).ok());
+    });
+    CheckProverWork(kg_stats, /*conflicts=*/true);
     blowup.AddRow({std::to_string(n),
                    std::to_string(static_cast<size_t>(n * kConflictRate / 2)),
                    reps, FormatSeconds(all), FormatSeconds(kg)});

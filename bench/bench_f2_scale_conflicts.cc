@@ -71,6 +71,7 @@ void PrintFigureTable() {
     double kg = TimeOnce([&] {
       HIPPO_CHECK(db->ConsistentAnswers(kJoin, KgOptions(), &stats).ok());
     });
+    CheckProverWork(stats, /*conflicts=*/rate > 0);
     double plain = TimeOnce([&] { HIPPO_CHECK(db->Query(kJoin).ok()); });
     double rewr = TimeOnce(
         [&] { HIPPO_CHECK(db->ConsistentAnswersByRewriting(kJoin).ok()); });

@@ -84,6 +84,7 @@ void PrintFigureTable() {
       double t = TimeOnce([&] {
         HIPPO_CHECK(db->ConsistentAnswers(kJoin, m.options, &stats).ok());
       });
+      CheckProverWork(stats, /*conflicts=*/true);
       table.AddRow({std::to_string(n), m.name, FormatSeconds(t),
                     std::to_string(stats.membership_checks),
                     std::to_string(stats.prover_invocations),

@@ -65,6 +65,7 @@ void PrintFigureTable() {
     cqa::HippoStats stats;
     auto rs = db->ConsistentAnswers(q.sql, KgOptions(), &stats);
     HIPPO_CHECK(rs.ok());
+    CheckProverWork(stats, /*conflicts=*/true);
     table.AddRow({q.name, std::to_string(plain.value().NumRows()),
                   std::to_string(stats.candidates),
                   std::to_string(stats.answers),
@@ -84,6 +85,7 @@ void PrintFigureTable() {
     HIPPO_CHECK(dbr->ConsistentAnswers(QuerySet::Difference(), KgOptions(),
                                        &stats)
                     .ok());
+    CheckProverWork(stats, /*conflicts=*/true);
     gap.AddRow({StrFormat("%.0f%%", rate * 100),
                 std::to_string(stats.candidates),
                 std::to_string(stats.answers),

@@ -59,6 +59,10 @@ std::string Cell(const Result<ResultSet>& got,
 
 void PrintTable() {
   std::unique_ptr<Database> db = MakeInstance();
+  // Coverage of the whole system: the router may serve a query class the
+  // prover cannot (narrowing projection via first-order rewriting).
+  cqa::HippoOptions hippo = KgOptions();
+  hippo.route = RouteMode::kAuto;
   TextTable table({"query class", "plain", "core", "rewriting",
                    "hippo", "all-repairs"});
   for (const QueryCase& q : kQueryCases) {
@@ -68,7 +72,7 @@ void PrintTable() {
     table.AddRow({q.cls, Cell(db->Query(q.sql), exact),
                   Cell(db->QueryOverCore(q.sql), exact),
                   Cell(db->ConsistentAnswersByRewriting(q.sql), exact),
-                  Cell(db->ConsistentAnswers(q.sql, KgOptions()), exact),
+                  Cell(db->ConsistentAnswers(q.sql, hippo), exact),
                   exact.ok() ? "exact" : "n/a"});
   }
   table.Print(

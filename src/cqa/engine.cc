@@ -30,23 +30,26 @@ std::unique_ptr<MembershipProvider> MakeProvider(
 }  // namespace
 
 Result<bool> HippoEngine::DecideCandidate(Grounder* grounder, HProver* prover,
-                                          const Row& tuple,
+                                          const ColumnBatch& candidates,
+                                          size_t row,
                                           const HippoOptions& options,
                                           HippoStats* stats) const {
-  HIPPO_ASSIGN_OR_RETURN(GroundFormula formula, grounder->Ground(tuple));
-
-  if (formula.IsConst()) {
+  HIPPO_ASSIGN_OR_RETURN(
+      GroundSummary summary,
+      grounder->Probe(candidates, row,
+                      options.use_filtering ? &graph_ : nullptr));
+  if (summary.is_const) {
     if (stats != nullptr) ++stats->constant_formulas;
-    return formula.const_value;
+    return summary.value;
   }
-  if (options.use_filtering && AllFactsConflictFree(formula, graph_)) {
+  if (options.use_filtering && !summary.conflicting) {
     // Conflict-free facts are in every repair: the formula is constant
     // across repairs, equal to its value with all facts present.
     if (stats != nullptr) ++stats->filtered_shortcuts;
-    return formula.Eval([](RowId) { return true; });
+    return summary.value;
   }
 
-  CnfResult cnf = ToCnf(formula);
+  CnfResult cnf = ToCnf(grounder->Formula(candidates, row));
   if (cnf.is_constant) {
     if (stats != nullptr) ++stats->constant_formulas;
     return cnf.constant_value;
@@ -164,110 +167,94 @@ Result<ResultSet> HippoEngine::ServeProver(const PlanNode& plan,
       options.trace == nullptr ? nullptr
                                : options.trace->StartChild("envelope");
   ctx.trace = envelope_span;
-  HIPPO_ASSIGN_OR_RETURN(ResultSet candidates, Execute(*envelope, ctx));
+  HIPPO_ASSIGN_OR_RETURN(ColumnBatch candidates,
+                         ExecuteToBatch(*envelope, ctx));
+  const size_t num_candidates = candidates.NumRows();
   if (envelope_span != nullptr) {
     envelope_span->SetAttr("candidates",
-                           static_cast<int64_t>(candidates.rows.size()));
+                           static_cast<int64_t>(num_candidates));
     envelope_span->End();
   }
   auto t1 = Clock::now();
 
-  // 2. Prover loop over candidates. Candidates are decided independently;
-  //    with num_threads > 1 the loop shards, each worker owning its own
-  //    membership provider and prover (the catalog and hypergraph are
-  //    read-only here). Verdicts land in a per-candidate array so the
-  //    output order is deterministic.
+  // 2. Prover loop over candidates, grounded straight off the envelope's
+  //    batch through the plan compiled once. Candidates are decided
+  //    independently; with num_threads > 1 the loop shards, each worker
+  //    owning its own membership provider and prover (the catalog,
+  //    hypergraph and compiled plan are read-only here).
+  //    Verdicts land in a per-candidate array so the output order is
+  //    deterministic.
+  const GroundProgram program(plan);
   ResultSet answers;
   answers.schema = plan.schema();
-  size_t prover_membership_checks = 0;
-  size_t prover_clauses = 0;
-  size_t prover_edge_choices = 0;
   size_t num_threads = ResolveThreadCount(options.num_threads);
-  size_t workers_used = 1;
+  size_t workers =
+      num_candidates < 2 ? 1 : std::min(num_threads, num_candidates);
   obs::TraceSpan* prover_span =
       options.trace == nullptr ? nullptr
                                : options.trace->StartChild("prover");
-  if (num_threads <= 1 || candidates.rows.size() < 2) {
+  std::vector<char> verdict(num_candidates, 0);
+  std::vector<HippoStats> worker_stats(workers);
+  std::vector<Status> worker_status(workers);
+  std::atomic<size_t> next{0};
+  auto run_worker = [&](size_t w) {
     std::unique_ptr<MembershipProvider> membership =
         MakeProvider(catalog_, options.membership);
-    Grounder grounder(plan, membership.get());
+    Grounder grounder(program, membership.get());
     HProver prover(graph_);
-    for (const Row& tuple : candidates.rows) {
-      HIPPO_ASSIGN_OR_RETURN(
-          bool ok,
-          DecideCandidate(&grounder, &prover, tuple, options, stats));
-      if (ok) answers.rows.push_back(tuple);
-    }
-    prover_membership_checks = membership->NumLookups();
-    prover_clauses = prover.stats().clauses_checked;
-    prover_edge_choices = prover.stats().edge_choices_tried;
-  } else {
-    size_t workers = std::min(num_threads, candidates.rows.size());
-    workers_used = workers;
-    std::vector<char> verdict(candidates.rows.size(), 0);
-    std::vector<HippoStats> worker_stats(workers);
-    std::vector<Status> worker_status(workers);
-    std::atomic<size_t> next{0};
-    auto run_worker = [&](size_t w) {
-      std::unique_ptr<MembershipProvider> membership =
-          MakeProvider(catalog_, options.membership);
-      Grounder grounder(plan, membership.get());
-      HProver prover(graph_);
-      constexpr size_t kChunk = 64;
-      for (;;) {
-        size_t begin = next.fetch_add(kChunk);
-        if (begin >= candidates.rows.size()) break;
-        size_t end = std::min(begin + kChunk, candidates.rows.size());
-        for (size_t i = begin; i < end; ++i) {
-          Result<bool> ok =
-              DecideCandidate(&grounder, &prover, candidates.rows[i],
-                              options, &worker_stats[w]);
-          if (!ok.ok()) {
-            worker_status[w] = ok.status();
-            return;
-          }
-          verdict[i] = ok.value() ? 1 : 0;
+    constexpr size_t kChunk = 64;
+    for (;;) {
+      size_t begin = next.fetch_add(kChunk);
+      if (begin >= num_candidates) break;
+      size_t end = std::min(begin + kChunk, num_candidates);
+      for (size_t i = begin; i < end; ++i) {
+        Result<bool> ok = DecideCandidate(&grounder, &prover, candidates, i,
+                                          options, &worker_stats[w]);
+        if (!ok.ok()) {
+          worker_status[w] = ok.status();
+          return;
         }
+        verdict[i] = ok.value() ? 1 : 0;
       }
-      worker_stats[w].membership_checks += membership->NumLookups();
-      worker_stats[w].clauses_checked += prover.stats().clauses_checked;
-      worker_stats[w].edge_choices_tried +=
-          prover.stats().edge_choices_tried;
-    };
+    }
+    worker_stats[w].membership_checks += membership->NumLookups();
+    worker_stats[w].clauses_checked += prover.stats().clauses_checked;
+    worker_stats[w].edge_choices_tried += prover.stats().edge_choices_tried;
+  };
+  if (workers == 1) {
+    run_worker(0);
+  } else {
     std::vector<std::thread> threads;
     threads.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      threads.emplace_back(run_worker, w);
-    }
+    for (size_t w = 0; w < workers; ++w) threads.emplace_back(run_worker, w);
     for (std::thread& t : threads) t.join();
-    for (size_t w = 0; w < workers; ++w) {
-      HIPPO_RETURN_NOT_OK(worker_status[w]);
-      if (stats != nullptr) {
-        stats->filtered_shortcuts += worker_stats[w].filtered_shortcuts;
-        stats->constant_formulas += worker_stats[w].constant_formulas;
-        stats->prover_invocations += worker_stats[w].prover_invocations;
-      }
-      prover_membership_checks += worker_stats[w].membership_checks;
-      prover_clauses += worker_stats[w].clauses_checked;
-      prover_edge_choices += worker_stats[w].edge_choices_tried;
-    }
-    for (size_t i = 0; i < candidates.rows.size(); ++i) {
-      if (verdict[i]) answers.rows.push_back(candidates.rows[i]);
-    }
+  }
+  HippoStats prover_stats;
+  for (size_t w = 0; w < workers; ++w) {
+    HIPPO_RETURN_NOT_OK(worker_status[w]);
+    prover_stats.filtered_shortcuts += worker_stats[w].filtered_shortcuts;
+    prover_stats.constant_formulas += worker_stats[w].constant_formulas;
+    prover_stats.prover_invocations += worker_stats[w].prover_invocations;
+    prover_stats.membership_checks += worker_stats[w].membership_checks;
+    prover_stats.clauses_checked += worker_stats[w].clauses_checked;
+    prover_stats.edge_choices_tried += worker_stats[w].edge_choices_tried;
+  }
+  for (size_t i = 0; i < num_candidates; ++i) {
+    if (verdict[i]) answers.rows.push_back(candidates.RowAt(i));
   }
   auto t2 = Clock::now();
   if (prover_span != nullptr) {
     prover_span->SetAttr("candidates",
-                         static_cast<int64_t>(candidates.rows.size()));
+                         static_cast<int64_t>(num_candidates));
     prover_span->SetAttr("answers",
                          static_cast<int64_t>(answers.rows.size()));
-    prover_span->SetAttr("workers", static_cast<int64_t>(workers_used));
-    prover_span->SetAttr("clauses",
-                         static_cast<int64_t>(prover_clauses));
-    prover_span->SetAttr("edges_touched",
-                         static_cast<int64_t>(prover_edge_choices));
+    prover_span->SetAttr("workers", static_cast<int64_t>(workers));
+    prover_span->SetAttr("clauses", static_cast<int64_t>(
+                                        prover_stats.clauses_checked));
+    prover_span->SetAttr("edges_touched", static_cast<int64_t>(
+                                              prover_stats.edge_choices_tried));
     prover_span->SetAttr("membership_checks",
-                         static_cast<int64_t>(prover_membership_checks));
+                         static_cast<int64_t>(prover_stats.membership_checks));
     prover_span->End();
   }
 
@@ -276,11 +263,14 @@ Result<ResultSet> HippoEngine::ServeProver(const PlanNode& plan,
   SortAnswers(plan, &answers.rows);
 
   if (stats != nullptr) {
-    stats->candidates += candidates.rows.size();
+    stats->candidates += num_candidates;
     stats->answers += answers.rows.size();
-    stats->membership_checks += prover_membership_checks;
-    stats->clauses_checked += prover_clauses;
-    stats->edge_choices_tried += prover_edge_choices;
+    stats->filtered_shortcuts += prover_stats.filtered_shortcuts;
+    stats->constant_formulas += prover_stats.constant_formulas;
+    stats->prover_invocations += prover_stats.prover_invocations;
+    stats->membership_checks += prover_stats.membership_checks;
+    stats->clauses_checked += prover_stats.clauses_checked;
+    stats->edge_choices_tried += prover_stats.edge_choices_tried;
     stats->envelope_seconds += Seconds(t0, t1);
     stats->prove_seconds += Seconds(t1, t2);
     stats->total_seconds += Seconds(t0, t2);
@@ -295,12 +285,20 @@ Result<bool> HippoEngine::IsConsistentAnswer(const PlanNode& plan,
                                              const HippoOptions& options,
                                              HippoStats* stats) const {
   HIPPO_RETURN_NOT_OK(CheckSjudSupported(plan));
+  if (tuple.size() != plan.schema().NumColumns()) {
+    return Status::InvalidArgument("tuple arity does not match the query");
+  }
+  const GroundProgram program(plan);
   std::unique_ptr<MembershipProvider> membership =
       MakeProvider(catalog_, options.membership);
-  Grounder grounder(plan, membership.get());
+  Grounder grounder(program, membership.get());
   HProver prover(graph_);
+  std::vector<TypeId> types;
+  for (const Column& c : plan.schema().columns()) types.push_back(c.type);
   HIPPO_ASSIGN_OR_RETURN(
-      bool ok, DecideCandidate(&grounder, &prover, tuple, options, stats));
+      bool ok, DecideCandidate(&grounder, &prover,
+                               ColumnBatch::FromRows({tuple}, types), 0,
+                               options, stats));
   if (stats != nullptr) {
     stats->membership_checks += membership->NumLookups();
     stats->clauses_checked += prover.stats().clauses_checked;

@@ -138,8 +138,11 @@ class HippoEngine {
                                   HippoStats* stats = nullptr) const;
 
  private:
+  /// Decides candidate `row` of `candidates`: constant and conflict-free
+  /// formulas straight from the probed facts, the rest by CNF + Prover.
   Result<bool> DecideCandidate(Grounder* grounder, HProver* prover,
-                               const Row& tuple, const HippoOptions& options,
+                               const ColumnBatch& candidates, size_t row,
+                               const HippoOptions& options,
                                HippoStats* stats) const;
 
   /// Serves a first-order route: plain evaluation of `exec_plan` (the

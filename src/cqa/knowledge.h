@@ -3,17 +3,17 @@
 // The base system issues a membership query against the relational engine
 // for every check — the costly path the paper describes ("this is done by
 // simply executing the appropriate membership queries on the database").
-// The knowledge-gathering (KG) optimization instead builds, alongside the
-// envelope evaluation, an in-memory index per relation touched by the
-// query, so membership checks execute without any queries on the database.
+// The knowledge-gathering (KG) optimization instead answers membership from
+// an in-memory index per relation touched by the query, gathered alongside
+// the columnar view the envelope scans, so membership checks execute
+// without any queries on the database.
 #pragma once
 
-#include <unordered_map>
-#include <unordered_set>
+#include <memory>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "cqa/ground_formula.h"
-#include "hypergraph/hypergraph.h"
 
 namespace hippo::cqa {
 
@@ -25,8 +25,9 @@ class QueryMembershipProvider final : public MembershipProvider {
   explicit QueryMembershipProvider(const Catalog& catalog)
       : catalog_(catalog) {}
 
-  Result<std::optional<RowId>> Lookup(uint32_t table_id,
-                                      const Row& values) override;
+  Result<std::optional<RowId>> Lookup(
+      uint32_t table_id, const ColumnBatch& batch, size_t row,
+      const std::vector<uint32_t>& cols) override;
   size_t NumLookups() const override { return lookups_; }
 
  private:
@@ -34,30 +35,26 @@ class QueryMembershipProvider final : public MembershipProvider {
   size_t lookups_ = 0;
 };
 
-/// Knowledge-gathering mode: one pass per touched relation builds a hash
-/// index value→row; lookups are O(1) and issue no queries.
+/// Knowledge-gathering mode: lookups probe the slot index of each touched
+/// table's columnar view (TableColumns::SlotIndex, built once per image
+/// and shared by every query and prover worker reading it) and issue no
+/// queries. One provider per thread; the catalog must not change while it
+/// lives, as it keeps the views it fetched.
 class IndexMembershipProvider final : public MembershipProvider {
  public:
   explicit IndexMembershipProvider(const Catalog& catalog)
-      : catalog_(catalog) {}
+      : catalog_(catalog), views_(catalog.NumTables()) {}
 
-  Result<std::optional<RowId>> Lookup(uint32_t table_id,
-                                      const Row& values) override;
+  Result<std::optional<RowId>> Lookup(
+      uint32_t table_id, const ColumnBatch& batch, size_t row,
+      const std::vector<uint32_t>& cols) override;
   size_t NumLookups() const override { return lookups_; }
-
-  /// Number of per-relation gathering passes performed.
-  size_t NumIndexedTables() const { return indexed_.size(); }
 
  private:
   const Catalog& catalog_;
-  std::unordered_set<uint32_t> indexed_;
+  /// Columnar views of the tables probed so far, fetched once each.
+  std::vector<std::shared_ptr<const TableColumns>> views_;
   size_t lookups_ = 0;
 };
-
-/// True iff every fact of the formula is conflict-free; such a formula has
-/// the same value in every repair (its truth over the current instance),
-/// so the Prover can be bypassed — the filtering optimization.
-bool AllFactsConflictFree(const GroundFormula& formula,
-                          const ConflictHypergraph& graph);
 
 }  // namespace hippo::cqa

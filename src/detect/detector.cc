@@ -87,7 +87,7 @@ struct ConflictDetector::FkShared {
   std::optional<exec::BatchAntiJoinProbe> probe;
 };
 
-Status ConflictDetector::DetectGenericPartitionInto(
+void ConflictDetector::DetectGenericPartitionInto(
     const DenialConstraint& dc, uint32_t constraint_index,
     GenericShared* shared, size_t partition, size_t num_partitions,
     EdgeBuffer* out, DetectStats* stats) const {
@@ -180,24 +180,23 @@ Status ConflictDetector::DetectGenericPartitionInto(
     out->Add(std::move(edge), constraint_index);
     ++stats->edges_added;
   }
-  return Status::OK();
 }
 
-Status ConflictDetector::DetectGenericInto(const DenialConstraint& dc,
-                                           uint32_t constraint_index,
-                                           EdgeBuffer* out,
-                                           DetectStats* stats) const {
+void ConflictDetector::DetectGenericInto(const DenialConstraint& dc,
+                                         uint32_t constraint_index,
+                                         EdgeBuffer* out,
+                                         DetectStats* stats) const {
   GenericShared shared;
-  return DetectGenericPartitionInto(dc, constraint_index, &shared,
-                                    /*partition=*/0, /*num_partitions=*/1,
-                                    out, stats);
+  DetectGenericPartitionInto(dc, constraint_index, &shared,
+                             /*partition=*/0, /*num_partitions=*/1, out,
+                             stats);
 }
 
-Status ConflictDetector::DetectFdFastInto(const DenialConstraint& dc,
-                                          uint32_t constraint_index,
-                                          size_t shard, size_t num_shards,
-                                          EdgeBuffer* out,
-                                          DetectStats* stats) const {
+void ConflictDetector::DetectFdFastInto(const DenialConstraint& dc,
+                                        uint32_t constraint_index,
+                                        size_t shard, size_t num_shards,
+                                        EdgeBuffer* out,
+                                        DetectStats* stats) const {
   if (shard == 0) ++stats->fd_fast_path_constraints;
   if (num_shards > 1) ++stats->fd_shards;
   const FdInfo& fd = *dc.fd_info();
@@ -260,7 +259,6 @@ Status ConflictDetector::DetectFdFastInto(const DenialConstraint& dc,
       }
     }
   }
-  return Status::OK();
 }
 
 void ConflictDetector::Flush(EdgeBuffer buffer, ConflictHypergraph* graph) {
@@ -269,23 +267,20 @@ void ConflictDetector::Flush(EdgeBuffer buffer, ConflictHypergraph* graph) {
   }
 }
 
-Status ConflictDetector::Detect(const DenialConstraint& constraint,
-                                uint32_t constraint_index,
-                                ConflictHypergraph* graph) {
+void ConflictDetector::Detect(const DenialConstraint& constraint,
+                              uint32_t constraint_index,
+                              ConflictHypergraph* graph) {
   EdgeBuffer buffer;
   if (options_.use_fd_fast_path && constraint.fd_info().has_value()) {
-    HIPPO_RETURN_NOT_OK(DetectFdFastInto(constraint, constraint_index,
-                                         /*shard=*/0, /*num_shards=*/1,
-                                         &buffer, &stats_));
+    DetectFdFastInto(constraint, constraint_index, /*shard=*/0,
+                     /*num_shards=*/1, &buffer, &stats_);
   } else {
-    HIPPO_RETURN_NOT_OK(
-        DetectGenericInto(constraint, constraint_index, &buffer, &stats_));
+    DetectGenericInto(constraint, constraint_index, &buffer, &stats_);
   }
   Flush(std::move(buffer), graph);
-  return Status::OK();
 }
 
-Status ConflictDetector::DetectForeignKeyPartitionInto(
+void ConflictDetector::DetectForeignKeyPartitionInto(
     const ForeignKeyConstraint& fk, uint32_t constraint_index,
     FkShared* shared, size_t partition, size_t num_partitions,
     EdgeBuffer* out, DetectStats* stats) const {
@@ -328,27 +323,24 @@ Status ConflictDetector::DetectForeignKeyPartitionInto(
              constraint_index);
     ++stats->edges_added;
   }
-  return Status::OK();
 }
 
-Status ConflictDetector::DetectForeignKeyInto(const ForeignKeyConstraint& fk,
-                                              uint32_t constraint_index,
-                                              EdgeBuffer* out,
-                                              DetectStats* stats) const {
+void ConflictDetector::DetectForeignKeyInto(const ForeignKeyConstraint& fk,
+                                            uint32_t constraint_index,
+                                            EdgeBuffer* out,
+                                            DetectStats* stats) const {
   FkShared shared;
-  return DetectForeignKeyPartitionInto(fk, constraint_index, &shared,
-                                       /*partition=*/0,
-                                       /*num_partitions=*/1, out, stats);
+  DetectForeignKeyPartitionInto(fk, constraint_index, &shared,
+                                /*partition=*/0, /*num_partitions=*/1, out,
+                                stats);
 }
 
-Status ConflictDetector::DetectForeignKey(const ForeignKeyConstraint& fk,
-                                          uint32_t constraint_index,
-                                          ConflictHypergraph* graph) {
+void ConflictDetector::DetectForeignKey(const ForeignKeyConstraint& fk,
+                                        uint32_t constraint_index,
+                                        ConflictHypergraph* graph) {
   EdgeBuffer buffer;
-  HIPPO_RETURN_NOT_OK(
-      DetectForeignKeyInto(fk, constraint_index, &buffer, &stats_));
+  DetectForeignKeyInto(fk, constraint_index, &buffer, &stats_);
   Flush(std::move(buffer), graph);
-  return Status::OK();
 }
 
 Result<ConflictHypergraph> ConflictDetector::DetectAll(
@@ -361,13 +353,11 @@ Result<ConflictHypergraph> ConflictDetector::DetectAll(
     // Serial: preserve constraint-order edge insertion (stable historical
     // edge ids; structurally identical to the parallel path below).
     for (size_t i = 0; i < constraints.size(); ++i) {
-      HIPPO_RETURN_NOT_OK(
-          Detect(constraints[i], static_cast<uint32_t>(i), &graph));
+      Detect(constraints[i], static_cast<uint32_t>(i), &graph);
     }
     for (size_t i = 0; i < foreign_keys.size(); ++i) {
-      HIPPO_RETURN_NOT_OK(DetectForeignKey(
-          foreign_keys[i], static_cast<uint32_t>(constraints.size() + i),
-          &graph));
+      DetectForeignKey(foreign_keys[i],
+                       static_cast<uint32_t>(constraints.size() + i), &graph);
     }
     return graph;
   }
@@ -460,47 +450,41 @@ Result<ConflictHypergraph> ConflictDetector::DetectAll(
   size_t workers = std::min(num_threads, units.size());
   std::vector<EdgeBuffer> buffers(units.size());
   std::vector<DetectStats> worker_stats(workers);
-  std::vector<Status> worker_status(workers);
   std::atomic<size_t> next{0};
   auto run_worker = [&](size_t w) {
     for (;;) {
       size_t u = next.fetch_add(1);
       if (u >= units.size()) return;
       const Unit& unit = units[u];
-      Status st;
       switch (unit.kind) {
         case Unit::Kind::kFdShard:
-          st = DetectFdFastInto(constraints[unit.list_index],
-                                unit.constraint_index, unit.part,
-                                unit.num_parts, &buffers[u],
-                                &worker_stats[w]);
+          DetectFdFastInto(constraints[unit.list_index],
+                           unit.constraint_index, unit.part, unit.num_parts,
+                           &buffers[u], &worker_stats[w]);
           break;
         case Unit::Kind::kGeneric:
-          st = DetectGenericInto(constraints[unit.list_index],
-                                 unit.constraint_index, &buffers[u],
-                                 &worker_stats[w]);
+          DetectGenericInto(constraints[unit.list_index],
+                            unit.constraint_index, &buffers[u],
+                            &worker_stats[w]);
           break;
         case Unit::Kind::kGenericPartition:
-          st = DetectGenericPartitionInto(
-              constraints[unit.list_index], unit.constraint_index,
-              unit.generic.get(), unit.part, unit.num_parts, &buffers[u],
-              &worker_stats[w]);
+          DetectGenericPartitionInto(constraints[unit.list_index],
+                                     unit.constraint_index,
+                                     unit.generic.get(), unit.part,
+                                     unit.num_parts, &buffers[u],
+                                     &worker_stats[w]);
           break;
         case Unit::Kind::kForeignKey:
-          st = DetectForeignKeyInto(foreign_keys[unit.list_index],
-                                    unit.constraint_index, &buffers[u],
-                                    &worker_stats[w]);
+          DetectForeignKeyInto(foreign_keys[unit.list_index],
+                               unit.constraint_index, &buffers[u],
+                               &worker_stats[w]);
           break;
         case Unit::Kind::kFkPartition:
-          st = DetectForeignKeyPartitionInto(
-              foreign_keys[unit.list_index], unit.constraint_index,
-              unit.fk.get(), unit.part, unit.num_parts, &buffers[u],
-              &worker_stats[w]);
+          DetectForeignKeyPartitionInto(foreign_keys[unit.list_index],
+                                        unit.constraint_index, unit.fk.get(),
+                                        unit.part, unit.num_parts,
+                                        &buffers[u], &worker_stats[w]);
           break;
-      }
-      if (!st.ok()) {
-        worker_status[w] = std::move(st);
-        return;
       }
     }
   };
@@ -513,7 +497,6 @@ Result<ConflictHypergraph> ConflictDetector::DetectAll(
     for (std::thread& t : threads) t.join();
   }
   for (size_t w = 0; w < workers; ++w) {
-    HIPPO_RETURN_NOT_OK(worker_status[w]);
     stats_.edges_added += worker_stats[w].edges_added;
     stats_.fd_fast_path_constraints += worker_stats[w].fd_fast_path_constraints;
     stats_.generic_constraints += worker_stats[w].generic_constraints;

@@ -98,15 +98,15 @@ class ConflictDetector {
       : catalog_(catalog), options_(options) {}
 
   /// Detects violations of one constraint, adding edges to `graph`.
-  Status Detect(const DenialConstraint& constraint, uint32_t constraint_index,
-                ConflictHypergraph* graph);
+  void Detect(const DenialConstraint& constraint, uint32_t constraint_index,
+              ConflictHypergraph* graph);
 
   /// Detects orphaned child tuples of a restricted foreign key: each orphan
   /// can never regain a parent (the parent relation is immutable across
   /// repairs), so it becomes a unary hyperedge.
-  Status DetectForeignKey(const ForeignKeyConstraint& fk,
-                          uint32_t constraint_index,
-                          ConflictHypergraph* graph);
+  void DetectForeignKey(const ForeignKeyConstraint& fk,
+                        uint32_t constraint_index,
+                        ConflictHypergraph* graph);
 
   /// Detects violations of all constraints into a fresh hypergraph. Foreign
   /// keys receive constraint indexes following the denial constraints'.
@@ -132,33 +132,33 @@ class ConflictDetector {
   /// Stage-into-buffer internals, shared by the serial and parallel paths.
   /// They are const (catalog and options are read-only), so workers can run
   /// them concurrently, each with its own buffer and stats accumulator.
-  Status DetectGenericInto(const DenialConstraint& constraint,
-                           uint32_t constraint_index, EdgeBuffer* out,
-                           DetectStats* stats) const;
+  void DetectGenericInto(const DenialConstraint& constraint,
+                         uint32_t constraint_index, EdgeBuffer* out,
+                         DetectStats* stats) const;
   /// One probe-side row-range partition of a generic constraint: ensures
   /// `shared` is built (first caller wins, under its once-flag), then
   /// probes rows [partition * n / num_partitions, ...) of the probe input
   /// against the shared build state.
-  Status DetectGenericPartitionInto(const DenialConstraint& constraint,
-                                    uint32_t constraint_index,
-                                    GenericShared* shared, size_t partition,
-                                    size_t num_partitions, EdgeBuffer* out,
-                                    DetectStats* stats) const;
-  Status DetectFdFastInto(const DenialConstraint& constraint,
-                          uint32_t constraint_index, size_t shard,
-                          size_t num_shards, EdgeBuffer* out,
-                          DetectStats* stats) const;
-  Status DetectForeignKeyInto(const ForeignKeyConstraint& fk,
-                              uint32_t constraint_index, EdgeBuffer* out,
-                              DetectStats* stats) const;
+  void DetectGenericPartitionInto(const DenialConstraint& constraint,
+                                  uint32_t constraint_index,
+                                  GenericShared* shared, size_t partition,
+                                  size_t num_partitions, EdgeBuffer* out,
+                                  DetectStats* stats) const;
+  void DetectFdFastInto(const DenialConstraint& constraint,
+                        uint32_t constraint_index, size_t shard,
+                        size_t num_shards, EdgeBuffer* out,
+                        DetectStats* stats) const;
+  void DetectForeignKeyInto(const ForeignKeyConstraint& fk,
+                            uint32_t constraint_index, EdgeBuffer* out,
+                            DetectStats* stats) const;
   /// One child-row partition of a foreign key's orphan anti-join, probing
   /// the shared parent build state.
-  Status DetectForeignKeyPartitionInto(const ForeignKeyConstraint& fk,
-                                       uint32_t constraint_index,
-                                       FkShared* shared, size_t partition,
-                                       size_t num_partitions,
-                                       EdgeBuffer* out,
-                                       DetectStats* stats) const;
+  void DetectForeignKeyPartitionInto(const ForeignKeyConstraint& fk,
+                                     uint32_t constraint_index,
+                                     FkShared* shared, size_t partition,
+                                     size_t num_partitions,
+                                     EdgeBuffer* out,
+                                     DetectStats* stats) const;
 
   /// Flushes a staged buffer into `graph` in staging order (the serial
   /// insertion-order behavior of Detect/DetectForeignKey).

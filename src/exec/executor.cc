@@ -1,11 +1,11 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/parallel.h"
 #include "exec/batch_eval.h"
 #include "exec/operators.h"
-#include "expr/evaluator.h"
 
 namespace hippo {
 
@@ -67,10 +67,9 @@ ColumnBatch ScanTableBatch(const Table& table, bool emit_rowid,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Columnar (batch) execution. Filters and anti-joins narrow selection
-// vectors over shared columns, joins gather index tuples, and the
-// row-semantics operators (set ops, aggregation) round-trip through the row
-// kernels so there is exactly one implementation of their semantics.
+// Columnar (batch) execution. Filters, anti-joins, dedup and set operations
+// narrow selection vectors over shared columns, joins gather index tuples,
+// and aggregation round-trips through the row kernel AggregateRows.
 // ---------------------------------------------------------------------------
 
 std::vector<TypeId> SchemaTypes(const Schema& schema) {
@@ -258,34 +257,15 @@ Result<ColumnBatch> ExecuteBatchNode(const PlanNode& plan,
           });
       return left.Narrow(keep);
     }
-    // The row-semantics operators round-trip through the row kernels: one
-    // implementation of set/aggregate semantics, identical output order.
-    case PlanKind::kUnion: {
-      HIPPO_ASSIGN_OR_RETURN(ColumnBatch left,
-                             ExecuteBatch(plan.child(0), ctx));
-      HIPPO_ASSIGN_OR_RETURN(ColumnBatch right,
-                             ExecuteBatch(plan.child(1), ctx));
-      return ColumnBatch::FromRows(
-          exec::UnionRows(left.ToRows(), right.ToRows()),
-          SchemaTypes(plan.schema()));
-    }
-    case PlanKind::kDifference: {
-      HIPPO_ASSIGN_OR_RETURN(ColumnBatch left,
-                             ExecuteBatch(plan.child(0), ctx));
-      HIPPO_ASSIGN_OR_RETURN(ColumnBatch right,
-                             ExecuteBatch(plan.child(1), ctx));
-      return ColumnBatch::FromRows(
-          exec::DifferenceRows(left.ToRows(), right.ToRows()),
-          SchemaTypes(plan.schema()));
-    }
+    case PlanKind::kUnion:
+    case PlanKind::kDifference:
     case PlanKind::kIntersect: {
       HIPPO_ASSIGN_OR_RETURN(ColumnBatch left,
                              ExecuteBatch(plan.child(0), ctx));
       HIPPO_ASSIGN_OR_RETURN(ColumnBatch right,
                              ExecuteBatch(plan.child(1), ctx));
-      return ColumnBatch::FromRows(
-          exec::IntersectRows(left.ToRows(), right.ToRows()),
-          SchemaTypes(plan.schema()));
+      return exec::SetOpBatch(plan.kind(), left, right,
+                              SchemaTypes(plan.schema()));
     }
     case PlanKind::kAggregate: {
       const auto& agg = static_cast<const AggregateNode&>(plan);
@@ -299,44 +279,42 @@ Result<ColumnBatch> ExecuteBatchNode(const PlanNode& plan,
       const auto& sort = static_cast<const SortNode&>(plan);
       HIPPO_ASSIGN_OR_RETURN(ColumnBatch in,
                              ExecuteBatch(plan.child(0), ctx));
-      bool key_refs = true;
+      // Sort logical indexes by key cells (CompareAt == Value::Compare, so
+      // the stable order is that of sorting the rows): a bound column
+      // reference reads its column through the selection, any other key
+      // is first evaluated into a dense column.
+      struct SortKey {
+        ColumnVectorPtr col;
+        bool dense;
+        bool ascending;
+      };
+      std::vector<SortKey> keys;
       for (const SortNode::Key& k : sort.keys()) {
-        key_refs = key_refs && k.expr->kind() == ExprKind::kColumnRef &&
-                   static_cast<const ColumnRefExpr&>(*k.expr).IsBound();
-      }
-      if (key_refs) {
-        // Sort logical indexes by key columns: zero-copy, same stable
-        // order as sorting the rows (CompareAt == Value::Compare).
-        std::vector<uint32_t> order(in.NumRows());
-        for (size_t i = 0; i < order.size(); ++i) {
-          order[i] = static_cast<uint32_t>(i);
+        if (k.expr->kind() == ExprKind::kColumnRef) {
+          const auto& ref = static_cast<const ColumnRefExpr&>(*k.expr);
+          if (ref.IsBound()) {
+            keys.push_back({in.col_ptr(static_cast<size_t>(ref.index())),
+                            false, k.ascending});
+            continue;
+          }
         }
-        std::stable_sort(
-            order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-              for (const SortNode::Key& k : sort.keys()) {
-                const auto& ref =
-                    static_cast<const ColumnRefExpr&>(*k.expr);
-                const ColumnVector& col =
-                    in.col(static_cast<size_t>(ref.index()));
-                int c = col.CompareAt(in.Physical(a), col, in.Physical(b));
-                if (c != 0) return k.ascending ? c < 0 : c > 0;
-              }
-              return false;
-            });
-        return in.Narrow(order);
+        auto col = std::make_shared<ColumnVector>(k.expr->result_type());
+        exec::EvalExprColumn(*k.expr, in, 0, in.NumRows(), col.get());
+        keys.push_back({std::move(col), true, k.ascending});
       }
-      std::vector<Row> rows = in.ToRows();
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&sort](const Row& a, const Row& b) {
-                         for (const SortNode::Key& k : sort.keys()) {
-                           Value va = EvalExpr(*k.expr, a);
-                           Value vb = EvalExpr(*k.expr, b);
-                           int c = va.Compare(vb);
-                           if (c != 0) return k.ascending ? c < 0 : c > 0;
-                         }
-                         return false;
-                       });
-      return ColumnBatch::FromRows(rows, SchemaTypes(plan.schema()));
+      std::vector<uint32_t> order(in.NumRows());
+      std::iota(order.begin(), order.end(), 0u);
+      std::stable_sort(
+          order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+            for (const SortKey& k : keys) {
+              uint32_t pa = k.dense ? a : in.Physical(a);
+              uint32_t pb = k.dense ? b : in.Physical(b);
+              int c = k.col->CompareAt(pa, *k.col, pb);
+              if (c != 0) return k.ascending ? c < 0 : c > 0;
+            }
+            return false;
+          });
+      return in.Narrow(order);
     }
   }
   return Status::Internal("unknown plan kind in executor");
@@ -361,9 +339,14 @@ Result<ColumnBatch> ExecuteBatch(const PlanNode& plan,
 
 }  // namespace
 
-Result<ResultSet> Execute(const PlanNode& plan, const ExecContext& ctx) {
+Result<ColumnBatch> ExecuteToBatch(const PlanNode& plan,
+                                   const ExecContext& ctx) {
   HIPPO_CHECK(ctx.catalog != nullptr);
-  HIPPO_ASSIGN_OR_RETURN(ColumnBatch batch, ExecuteBatch(plan, ctx));
+  return ExecuteBatch(plan, ctx);
+}
+
+Result<ResultSet> Execute(const PlanNode& plan, const ExecContext& ctx) {
+  HIPPO_ASSIGN_OR_RETURN(ColumnBatch batch, ExecuteToBatch(plan, ctx));
   return ResultSet{plan.schema(), batch.ToRows()};
 }
 

@@ -104,6 +104,10 @@ struct ExecContext {
 /// the result is still bit-identical (rows and order) to the serial run.
 Result<ResultSet> Execute(const PlanNode& plan, const ExecContext& ctx);
 
+/// Execute's rows, in the same order, left as the result batch.
+Result<ColumnBatch> ExecuteToBatch(const PlanNode& plan,
+                                   const ExecContext& ctx);
+
 /// Number of row-range partitions an operator over `rows` input rows
 /// should split into under `parallel`: 1 unless parallelism is enabled AND
 /// every partition gets at least min_partition_rows. Shared by every

@@ -1,7 +1,6 @@
 #include "exec/operators.h"
 
 #include <unordered_map>
-#include <unordered_set>
 
 #include "exec/batch_eval.h"
 #include "expr/evaluator.h"
@@ -9,8 +8,6 @@
 namespace hippo::exec {
 
 namespace {
-
-using RowSet = std::unordered_set<Row, RowHasher, RowEq>;
 
 /// Builds (left key indexes, right key indexes, residual) from `condition`.
 struct JoinSplit {
@@ -31,48 +28,36 @@ JoinSplit SplitCondition(const Expr& condition, size_t left_width) {
   return split;
 }
 
+/// Hash of columns `keys` of physical row `p`, seeded with the key arity
+/// like HashRow of the key tuple; false (no hash) when a key cell is NULL:
+/// NULL join keys never match.
+bool HashKeyAt(const ColumnBatch& batch, const std::vector<int>& keys,
+               uint32_t p, size_t* hash) {
+  size_t seed = keys.size();
+  for (int k : keys) {
+    const ColumnVector& cv = batch.col(static_cast<size_t>(k));
+    if (cv.IsNull(p)) return false;
+    HashCombine(&seed, cv.HashAt(p));
+  }
+  *hash = seed;
+  return true;
+}
+
+/// Indexes the logical rows of `batch` by HashKeyAt of `keys`, skipping
+/// NULL keys; descending inserts leave every chain in ascending order.
+FlatHashIndex BuildKeyIndex(const ColumnBatch& batch,
+                            const std::vector<int>& keys) {
+  FlatHashIndex index(batch.NumRows());
+  for (size_t j = batch.NumRows(); j-- > 0;) {
+    size_t hash;
+    if (HashKeyAt(batch, keys, batch.Physical(j), &hash)) {
+      index.Insert(static_cast<uint32_t>(j), hash);
+    }
+  }
+  return index;
+}
+
 }  // namespace
-
-std::vector<Row> DedupRows(std::vector<Row> rows) {
-  RowSet seen;
-  seen.reserve(rows.size());
-  std::vector<Row> out;
-  out.reserve(rows.size());
-  for (Row& r : rows) {
-    if (seen.insert(r).second) out.push_back(std::move(r));
-  }
-  return out;
-}
-
-std::vector<Row> UnionRows(std::vector<Row> left,
-                           const std::vector<Row>& right) {
-  left.insert(left.end(), right.begin(), right.end());
-  return DedupRows(std::move(left));
-}
-
-std::vector<Row> DifferenceRows(const std::vector<Row>& left,
-                                const std::vector<Row>& right) {
-  RowSet exclude(right.begin(), right.end());
-  RowSet seen;
-  std::vector<Row> out;
-  for (const Row& l : left) {
-    if (exclude.count(l)) continue;
-    if (seen.insert(l).second) out.push_back(l);
-  }
-  return out;
-}
-
-std::vector<Row> IntersectRows(const std::vector<Row>& left,
-                               const std::vector<Row>& right) {
-  RowSet include(right.begin(), right.end());
-  RowSet seen;
-  std::vector<Row> out;
-  for (const Row& l : left) {
-    if (!include.count(l)) continue;
-    if (seen.insert(l).second) out.push_back(l);
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Columnar kernels
@@ -97,25 +82,7 @@ BatchJoinChain::BatchJoinChain(const ColumnBatch* probe,
         level.left_keys = std::move(split.left_keys);
         level.right_keys = std::move(split.right_keys);
         level.residual = std::move(split.residual);
-        const ColumnBatch& b = *level.batch;
-        level.build.reserve(b.NumRows());
-        for (uint32_t j = 0; j < b.NumRows(); ++j) {
-          uint32_t p = b.Physical(j);
-          // Seed with the key arity, matching HashRow of the key tuple;
-          // rows with a NULL key never match and are not built.
-          size_t hash = level.right_keys.size();
-          bool null_key = false;
-          for (int rk : level.right_keys) {
-            const ColumnVector& cv = b.col(static_cast<size_t>(rk));
-            if (cv.IsNull(p)) {
-              null_key = true;
-              break;
-            }
-            HashCombine(&hash, cv.HashAt(p));
-          }
-          if (null_key) continue;
-          level.build[hash].push_back(j);
-        }
+        level.build = BuildKeyIndex(*level.batch, level.right_keys);
       }
     }
     offsets_.push_back(prefix_width + level.batch->NumColumns());
@@ -123,25 +90,26 @@ BatchJoinChain::BatchJoinChain(const ColumnBatch* probe,
   }
 }
 
-Value BatchJoinChain::TupleValue(const uint32_t* idxs, size_t col) const {
+std::pair<const ColumnVector*, uint32_t> BatchJoinChain::CellAt(
+    const uint32_t* idxs, size_t col) const {
   size_t s = 0;
   while (offsets_[s + 1] <= col) ++s;
   const ColumnBatch& b = segment(s);
-  return b.col(col - offsets_[s]).ValueAt(b.Physical(idxs[s]));
+  return {&b.col(col - offsets_[s]), b.Physical(idxs[s])};
+}
+
+Value BatchJoinChain::TupleValue(const uint32_t* idxs, size_t col) const {
+  auto [cv, p] = CellAt(idxs, col);
+  return cv->ValueAt(p);
 }
 
 bool BatchJoinChain::HashLeftKey(const uint32_t* idxs, const Level& level,
                                  size_t* hash) const {
   size_t seed = level.left_keys.size();
   for (int lk : level.left_keys) {
-    size_t col = static_cast<size_t>(lk);
-    size_t s = 0;
-    while (offsets_[s + 1] <= col) ++s;
-    const ColumnBatch& b = segment(s);
-    uint32_t p = b.Physical(idxs[s]);
-    const ColumnVector& cv = b.col(col - offsets_[s]);
-    if (cv.IsNull(p)) return false;  // NULL join keys never match
-    HashCombine(&seed, cv.HashAt(p));
+    auto [cv, p] = CellAt(idxs, static_cast<size_t>(lk));
+    if (cv->IsNull(p)) return false;  // NULL join keys never match
+    HashCombine(&seed, cv->HashAt(p));
   }
   *hash = seed;
   return true;
@@ -152,15 +120,10 @@ bool BatchJoinChain::LeftKeyEquals(const uint32_t* idxs, const Level& level,
   const ColumnBatch& rb = *level.batch;
   uint32_t rp = rb.Physical(build_row);
   for (size_t k = 0; k < level.left_keys.size(); ++k) {
-    size_t col = static_cast<size_t>(level.left_keys[k]);
-    size_t s = 0;
-    while (offsets_[s + 1] <= col) ++s;
-    const ColumnBatch& b = segment(s);
-    uint32_t p = b.Physical(idxs[s]);
-    const ColumnVector& lcv = b.col(col - offsets_[s]);
+    auto [cv, p] = CellAt(idxs, static_cast<size_t>(level.left_keys[k]));
     const ColumnVector& rcv =
         rb.col(static_cast<size_t>(level.right_keys[k]));
-    if (!lcv.EqualsAt(p, rcv, rp)) return false;
+    if (!cv->EqualsAt(p, rcv, rp)) return false;
   }
   return true;
 }
@@ -179,10 +142,11 @@ void BatchJoinChain::Descend(size_t level, uint32_t* idxs,
   if (L.has_equi) {
     size_t hash;
     if (!HashLeftKey(idxs, L, &hash)) return;
-    auto it = L.build.find(hash);
-    if (it == L.build.end()) return;
-    for (uint32_t j : it->second) {
-      if (!LeftKeyEquals(idxs, L, j)) continue;  // same-hash different key
+    // Same-hash different-key rows are filtered by column equality, which
+    // keeps the chain's insertion order.
+    auto key_equals = [&](uint32_t j) { return LeftKeyEquals(idxs, L, j); };
+    for (uint32_t j = L.build.Find(hash, key_equals); j != FlatHashIndex::kNone;
+         j = L.build.Find(hash, key_equals, j)) {
       idxs[level + 1] = j;
       if (L.residual != nullptr) {
         auto at = [&](size_t col) { return TupleValue(idxs, col); };
@@ -243,22 +207,7 @@ BatchAntiJoinProbe::BatchAntiJoinProbe(const ColumnBatch* left,
   left_keys_ = std::move(split.left_keys);
   right_keys_ = std::move(split.right_keys);
   residual_ = std::move(split.residual);
-  build_.reserve(right_->NumRows());
-  for (uint32_t j = 0; j < right_->NumRows(); ++j) {
-    uint32_t p = right_->Physical(j);
-    size_t hash = right_keys_.size();
-    bool null_key = false;
-    for (int rk : right_keys_) {
-      const ColumnVector& cv = right_->col(static_cast<size_t>(rk));
-      if (cv.IsNull(p)) {
-        null_key = true;
-        break;
-      }
-      HashCombine(&hash, cv.HashAt(p));
-    }
-    if (null_key) continue;
-    build_[hash].push_back(j);
-  }
+  build_ = BuildKeyIndex(*right_, right_keys_);
 }
 
 bool BatchAntiJoinProbe::PairPredicate(const Expr& expr, uint32_t left_row,
@@ -277,77 +226,91 @@ void BatchAntiJoinProbe::Probe(size_t begin, size_t end,
                                std::vector<uint32_t>* out) const {
   for (size_t i = begin; i < end; ++i) {
     uint32_t li = static_cast<uint32_t>(i);
+    uint32_t p = left_->Physical(li);
+    auto partner = [&](uint32_t j) {
+      uint32_t rp = right_->Physical(j);
+      for (size_t k = 0; k < left_keys_.size(); ++k) {
+        const ColumnVector& lcv = left_->col(left_keys_[k]);
+        if (!lcv.EqualsAt(p, right_->col(right_keys_[k]), rp)) return false;
+      }
+      const Expr* pred = has_equi_ ? residual_.get() : condition_;
+      return pred == nullptr || PairPredicate(*pred, li, j);
+    };
     bool matched = false;
-    if (has_equi_) {
-      uint32_t p = left_->Physical(li);
-      size_t hash = left_keys_.size();
-      bool null_key = false;
-      for (int lk : left_keys_) {
-        const ColumnVector& cv = left_->col(static_cast<size_t>(lk));
-        if (cv.IsNull(p)) {
-          null_key = true;  // NULL key: no partner, the left row survives
-          break;
-        }
-        HashCombine(&hash, cv.HashAt(p));
+    size_t hash;
+    if (!has_equi_) {
+      for (uint32_t j = 0; j < right_->NumRows() && !matched; ++j) {
+        matched = partner(j);
       }
-      if (!null_key) {
-        auto it = build_.find(hash);
-        if (it != build_.end()) {
-          for (uint32_t j : it->second) {
-            bool keys_equal = true;
-            uint32_t rp = right_->Physical(j);
-            for (size_t k = 0; k < left_keys_.size(); ++k) {
-              const ColumnVector& lcv =
-                  left_->col(static_cast<size_t>(left_keys_[k]));
-              const ColumnVector& rcv =
-                  right_->col(static_cast<size_t>(right_keys_[k]));
-              if (!lcv.EqualsAt(p, rcv, rp)) {
-                keys_equal = false;
-                break;
-              }
-            }
-            if (!keys_equal) continue;
-            if (residual_ == nullptr || PairPredicate(*residual_, li, j)) {
-              matched = true;
-              break;
-            }
-          }
-        }
-      }
-    } else {
-      for (uint32_t j = 0; j < right_->NumRows(); ++j) {
-        if (PairPredicate(*condition_, li, j)) {
-          matched = true;
-          break;
-        }
-      }
+    } else if (HashKeyAt(*left_, left_keys_, p, &hash)) {
+      // (A NULL key has no partner: the left row survives.)
+      matched = build_.Find(hash, partner) != FlatHashIndex::kNone;
     }
     if (!matched) out->push_back(li);
   }
 }
 
-ColumnBatch DedupBatch(const ColumnBatch& batch) {
-  size_t n = batch.NumRows();
-  std::unordered_map<size_t, std::vector<uint32_t>> buckets;
-  buckets.reserve(n);
-  std::vector<uint32_t> keep;
-  keep.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    size_t h = batch.RowHashAt(i);
-    std::vector<uint32_t>& bucket = buckets[h];
-    bool dup = false;
-    for (uint32_t j : bucket) {
-      if (batch.RowEqualsAt(i, batch, j)) {
-        dup = true;
-        break;
-      }
+namespace {
+
+/// Appends to `keep` the first occurrence of each distinct logical row of
+/// `batch` (indexed into `firsts`, sized to `batch`) that `other` (its
+/// distinct rows indexed in `other_firsts`; null = no filter) holds iff
+/// `in_other`.
+void KeepFirsts(const ColumnBatch& batch, const ColumnBatch* other,
+                const FlatHashIndex* other_firsts, bool in_other,
+                FlatHashIndex* firsts, std::vector<uint32_t>* keep) {
+  for (uint32_t i = 0; i < batch.NumRows(); ++i) {
+    size_t hash = batch.RowHashAt(i);
+    if (other != nullptr) {
+      auto same = [&](uint32_t j) { return batch.RowEqualsAt(i, *other, j); };
+      bool held = other_firsts->Find(hash, same) != FlatHashIndex::kNone;
+      if (held != in_other) continue;
     }
-    if (dup) continue;
-    bucket.push_back(static_cast<uint32_t>(i));
-    keep.push_back(static_cast<uint32_t>(i));
+    auto dup = [&](uint32_t j) { return batch.RowEqualsAt(i, batch, j); };
+    if (firsts->Find(hash, dup) != FlatHashIndex::kNone) continue;
+    firsts->Insert(i, hash);
+    keep->push_back(i);
   }
-  if (keep.size() == n) return batch;  // already a set: keep zero-copy
+}
+
+}  // namespace
+
+ColumnBatch DedupBatch(const ColumnBatch& batch) {
+  FlatHashIndex firsts(batch.NumRows());
+  std::vector<uint32_t> keep;
+  KeepFirsts(batch, nullptr, nullptr, false, &firsts, &keep);
+  if (keep.size() == batch.NumRows()) return batch;  // already a set
   return batch.Narrow(keep);
+}
+
+ColumnBatch SetOpBatch(PlanKind kind, const ColumnBatch& left,
+                       const ColumnBatch& right,
+                       const std::vector<TypeId>& types) {
+  FlatHashIndex left_firsts(left.NumRows()), right_firsts(right.NumRows());
+  std::vector<uint32_t> keep_left, keep_right;
+  if (kind == PlanKind::kUnion) {
+    KeepFirsts(left, nullptr, nullptr, false, &left_firsts, &keep_left);
+    KeepFirsts(right, &left, &left_firsts, false, &right_firsts, &keep_right);
+  } else {
+    KeepFirsts(right, nullptr, nullptr, false, &right_firsts, &keep_right);
+    KeepFirsts(left, &right, &right_firsts, kind == PlanKind::kIntersect,
+               &left_firsts, &keep_left);
+    keep_right.clear();
+  }
+  if (keep_right.empty()) return left.Narrow(keep_left);
+  // Union with right-only rows: gather both sides into new columns.
+  size_t n = keep_left.size() + keep_right.size();
+  std::vector<ColumnVectorPtr> cols;
+  for (size_t c = 0; c < types.size(); ++c) {
+    auto col = std::make_shared<ColumnVector>(types[c]);
+    col->Reserve(n);
+    for (uint32_t i : keep_left) col->AppendFrom(left.col(c), left.Physical(i));
+    for (uint32_t j : keep_right) {
+      col->AppendFrom(right.col(c), right.Physical(j));
+    }
+    cols.push_back(std::move(col));
+  }
+  return ColumnBatch(std::move(cols), n);
 }
 
 namespace {

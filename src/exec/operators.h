@@ -4,18 +4,19 @@
 // BatchAntiJoinProbe: they hash the build side(s) once and then let any
 // number of threads probe disjoint row ranges concurrently — the
 // partition-aware probe path used by parallel conflict detection and the
-// (serial or partitioned) executor. The set-operation and aggregation
-// kernels work on rows; the executor bridges batches through them, so they
-// are the one implementation of set and aggregate semantics.
+// (serial or partitioned) executor. Every hash table of the batch kernels
+// is a FlatHashIndex. Aggregation alone works on rows.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "exec/executor.h"
 #include "expr/expr.h"
 #include "plan/logical_plan.h"
 #include "storage/column_batch.h"
+#include "storage/flat_hash_index.h"
 
 namespace hippo::exec {
 
@@ -26,23 +27,12 @@ namespace hippo::exec {
 Result<std::vector<Row>> AggregateRows(const AggregateNode& agg,
                                        const std::vector<Row>& input);
 
-/// Set operations (inputs need not be deduplicated; outputs are sets).
-std::vector<Row> UnionRows(std::vector<Row> left,
-                           const std::vector<Row>& right);
-std::vector<Row> DifferenceRows(const std::vector<Row>& left,
-                                const std::vector<Row>& right);
-std::vector<Row> IntersectRows(const std::vector<Row>& left,
-                               const std::vector<Row>& right);
-
-/// Removes duplicate rows, preserving first occurrence order.
-std::vector<Row> DedupRows(std::vector<Row> rows);
-
 // ---------------------------------------------------------------------------
 // Columnar (batch) kernels. They operate on logical row *indexes* into
 // shared ColumnBatches: joins emit flat index tuples instead of materialized
-// rows, anti-joins emit surviving left indexes (a selection narrowing), and
-// key hashes are computed over column slices via ColumnVector::HashAt
-// (== Value::Hash).
+// rows, anti-joins, dedup and set operations emit surviving indexes (a
+// selection narrowing), and key hashes are computed over column slices via
+// ColumnVector::HashAt (== Value::Hash).
 // ---------------------------------------------------------------------------
 
 /// \brief A left-deep chain of hash/NL joins over ColumnBatches whose
@@ -97,10 +87,13 @@ class BatchJoinChain {
     std::vector<int> right_keys;  ///< column indexes into `batch`
     ExprPtr residual;
     const Expr* condition;
-    /// key hash -> logical build rows with that key hash, insertion order.
-    std::unordered_map<size_t, std::vector<uint32_t>> build;
+    /// Logical build rows by key hash, insertion order (has_equi only).
+    FlatHashIndex build{0};
   };
 
+  /// The column and physical row of virtual column `col` of a tuple.
+  std::pair<const ColumnVector*, uint32_t> CellAt(const uint32_t* idxs,
+                                                  size_t col) const;
   Value TupleValue(const uint32_t* idxs, size_t col) const;
   bool HashLeftKey(const uint32_t* idxs, const Level& level,
                    size_t* hash) const;
@@ -140,11 +133,17 @@ class BatchAntiJoinProbe {
   std::vector<int> left_keys_;
   std::vector<int> right_keys_;
   ExprPtr residual_;
-  std::unordered_map<size_t, std::vector<uint32_t>> build_;
+  FlatHashIndex build_{0};
 };
 
-/// Removes duplicate logical rows of `batch` (first occurrence wins, same
-/// order DedupRows produces) by narrowing the selection.
+/// Narrows `batch` to the first occurrence of each distinct logical row.
 ColumnBatch DedupBatch(const ColumnBatch& batch);
+
+/// UNION, EXCEPT or INTERSECT (`kind`) with set semantics (NULL equals
+/// NULL): first occurrences, left rows before right-only rows. Only a union
+/// with right-only rows gathers (into new columns of `types`).
+ColumnBatch SetOpBatch(PlanKind kind, const ColumnBatch& left,
+                       const ColumnBatch& right,
+                       const std::vector<TypeId>& types);
 
 }  // namespace hippo::exec

@@ -4,6 +4,7 @@
 #include <functional>
 #include <unordered_map>
 
+#include "plan/optimizer.h"
 #include "plan/sjud.h"
 #include "rewriting/rewriter.h"
 
@@ -544,7 +545,9 @@ Result<RouteDecision> TryRewriteRoute(
         "self-join-free primary-key query with an acyclic attack graph "
         "(Koutris-Wijsen certain rewriting)";
   }
-  decision.rewritten = std::move(rewritten);
+  // The rewriter stacks its anti-joins above the query's selections;
+  // optimizing pushes those back down before the plan runs.
+  decision.rewritten = OptimizePlan(*rewritten);
   return decision;
 }
 

@@ -66,7 +66,8 @@ const char* RouteModeName(RouteMode m);
 struct RouteDecision {
   RouteKind kind = RouteKind::kNone;
   std::string reason;
-  PlanNodePtr rewritten;  ///< set iff kind is kRewriteAbc / kRewriteKw
+  /// Set iff kind is kRewriteAbc / kRewriteKw; already optimized.
+  PlanNodePtr rewritten;
 };
 
 // ---------------------------------------------------------------------------

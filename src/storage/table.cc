@@ -10,7 +10,24 @@ size_t TableColumns::ApproxBytes() const {
     bytes += sizeof(ColumnVector) + c->ApproxBytes();
   }
   if (rowids) bytes += sizeof(ColumnVector) + rowids->ApproxBytes();
+  if (slot_index_built_.load(std::memory_order_acquire)) {
+    bytes += slot_index_.ApproxBytes();
+  }
   return bytes;
+}
+
+const FlatHashIndex& TableColumns::SlotIndex() const {
+  std::call_once(slot_index_once_, [this] {
+    FlatHashIndex index(num_slots);
+    for (size_t i = num_slots; i-- > 0;) {
+      size_t hash = columns.size();  // seeded like HashRow
+      for (const ColumnVectorPtr& c : columns) HashCombine(&hash, c->HashAt(i));
+      index.Insert(static_cast<uint32_t>(i), hash);
+    }
+    slot_index_ = std::move(index);
+    slot_index_built_.store(true, std::memory_order_release);
+  });
+  return slot_index_;
 }
 
 Table::Table(const Table& other)

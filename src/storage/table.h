@@ -12,6 +12,7 @@
 // maintenance of the conflict hypergraph under updates possible.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -23,6 +24,7 @@
 #include "common/hash.h"
 #include "common/status.h"
 #include "storage/column_batch.h"
+#include "storage/flat_hash_index.h"
 #include "types/value.h"
 
 namespace hippo {
@@ -62,7 +64,20 @@ struct TableColumns {
   ColumnVectorPtr rowids;
   size_t num_slots = 0;
 
+  /// Full-row hash index over every slot, hashed as HashRow hashes the
+  /// slot's row. Built on first use, once per image, and read concurrently
+  /// after that: every reader of the image (and every table copy sharing
+  /// it) shares one build. Tombstoned slots are indexed too; a slot's
+  /// values never change and set semantics keep slots distinct, so a probe
+  /// finds at most one slot, whose liveness the caller checks.
+  const FlatHashIndex& SlotIndex() const;
+
   size_t ApproxBytes() const;
+
+ private:
+  mutable std::once_flag slot_index_once_;
+  mutable std::atomic<bool> slot_index_built_{false};
+  mutable FlatHashIndex slot_index_{0};
 };
 
 /// \brief A base relation: schema + rows, append-only with set semantics.

@@ -138,6 +138,36 @@ TEST(TableColumnarViewTest, CopySharesTheMemoizedView) {
   EXPECT_EQ(copy.columnar().get(), view.get());
 }
 
+TEST(TableColumnarViewTest, SlotIndexIsBuiltOncePerImageAndFindsEverySlot) {
+  Table t(0, "t", IntStrSchema());
+  ASSERT_OK(t.Insert({Value::Int(1), Value::String("x")}).status());
+  ASSERT_OK(t.Insert({Value::Int(2), Value::Null()}).status());
+  ASSERT_OK(t.Insert({Value::Null(), Value::String("x")}).status());
+  ASSERT_TRUE(t.Delete(1));
+  auto view = t.columnar();
+  size_t before = view->ApproxBytes();
+  const FlatHashIndex& index = view->SlotIndex();
+  EXPECT_GT(view->ApproxBytes(), before);
+  // Every slot, tombstoned or not, is found under its row's HashRow.
+  for (uint32_t slot = 0; slot < 3; ++slot) {
+    auto same = [&](uint32_t r) {
+      return RowEq()(t.row(r), t.row(slot));
+    };
+    EXPECT_EQ(index.Find(HashRow(t.row(slot)), same), slot);
+  }
+  // One build per image: the view, a table copy and a resurrection share it.
+  EXPECT_EQ(&view->SlotIndex(), &index);
+  Table copy(t);
+  EXPECT_EQ(&copy.columnar()->SlotIndex(), &index);
+  ASSERT_OK(t.Insert({Value::Int(2), Value::Null()}).status());
+  EXPECT_EQ(&t.columnar()->SlotIndex(), &index);
+  // A new slot means a new image, indexed afresh.
+  ASSERT_OK(t.Insert({Value::Int(3), Value::String("z")}).status());
+  auto rebuilt = t.columnar();
+  auto is_new = [&](uint32_t r) { return r == 3; };
+  EXPECT_EQ(rebuilt->SlotIndex().Find(HashRow(t.row(3)), is_new), 3u);
+}
+
 // --- Table::Find probe coercion (the row-probe bugfix) --------------------
 
 TEST(TableFindTest, CoercesProbeToCanonicalFormBeforeIndexLookup) {

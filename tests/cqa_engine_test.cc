@@ -136,6 +136,11 @@ TEST_F(EngineTest, IsConsistentAnswerSingleTuple) {
       *plan.value(), Row{Value::Int(9), Value::Int(9)}, HippoOptions());
   ASSERT_OK(absent.status());
   EXPECT_FALSE(absent.value());
+  EXPECT_EQ(engine.IsConsistentAnswer(*plan.value(), Row{Value::Int(2)},
+                                      HippoOptions())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(EngineTest, TimingBreakdownPopulated) {
@@ -171,33 +176,89 @@ TEST_F(EngineTest, QueryTouchingOnlyConsistentRelationIsIdentity) {
 TEST_F(EngineTest, MembershipProvidersAgree) {
   cqa::QueryMembershipProvider qp(db_.catalog());
   cqa::IndexMembershipProvider ip(db_.catalog());
+  const std::vector<uint32_t> cols = {0, 1};
   for (uint32_t t : {0u, 1u}) {
     const Table& table = db_.catalog().table(t);
-    for (uint32_t i = 0; i < table.NumRows(); ++i) {
-      auto a = qp.Lookup(t, table.row(i));
-      auto b = ip.Lookup(t, table.row(i));
+    std::vector<Row> probes = table.rows();
+    probes.push_back(Row{Value::Int(999), Value::Int(999)});
+    ColumnBatch batch =
+        ColumnBatch::FromRows(probes, {TypeId::kInt, TypeId::kInt});
+    for (size_t i = 0; i < probes.size(); ++i) {
+      auto a = qp.Lookup(t, batch, i, cols);
+      auto b = ip.Lookup(t, batch, i, cols);
       ASSERT_OK(a.status());
       ASSERT_OK(b.status());
       EXPECT_EQ(a.value(), b.value());
+      // The last probe is absent; every other is the table's row i.
+      EXPECT_EQ(a.value().has_value(), i + 1 < probes.size());
     }
-    Row missing{Value::Int(999), Value::Int(999)};
-    EXPECT_FALSE(qp.Lookup(t, missing).value().has_value());
-    EXPECT_FALSE(ip.Lookup(t, missing).value().has_value());
   }
   EXPECT_EQ(qp.NumLookups(), ip.NumLookups());
 }
 
-TEST_F(EngineTest, AllFactsConflictFreeWalksFormula) {
+TEST_F(EngineTest, IndexProbesSkipTombstonesAndFindResurrectedRows) {
+  const std::vector<uint32_t> cols = {0, 1};
+  ColumnBatch batch = ColumnBatch::FromRows(
+      {Row{Value::Int(2), Value::Int(20)}}, {TypeId::kInt, TypeId::kInt});
+  auto lookup = [&](cqa::MembershipProvider* provider) {
+    auto rid = provider->Lookup(0, batch, 0, cols);
+    EXPECT_OK(rid.status());
+    return rid.value();
+  };
+  cqa::IndexMembershipProvider before(db_.catalog());
+  std::optional<RowId> live = lookup(&before);
+  ASSERT_TRUE(live.has_value());
+  EXPECT_EQ(live->row, 2u);
+
+  // A delete leaves the slot (and the columnar image) in place.
+  ASSERT_OK(db_.Execute("DELETE FROM r WHERE a = 2"));
+  cqa::QueryMembershipProvider qp(db_.catalog());
+  cqa::IndexMembershipProvider deleted(db_.catalog());
+  EXPECT_EQ(lookup(&qp), std::nullopt);
+  EXPECT_EQ(lookup(&deleted), std::nullopt);
+
+  // Re-inserting resurrects the same RowId.
+  ASSERT_OK(db_.Execute("INSERT INTO r VALUES (2, 20)"));
+  cqa::IndexMembershipProvider resurrected(db_.catalog());
+  EXPECT_EQ(lookup(&resurrected), live);
+  EXPECT_EQ(lookup(&qp), live);
+}
+
+TEST_F(EngineTest, GroundSummaryMatchesTheFoldedFormula) {
+  // The summary the prover loop decides from must say exactly what the
+  // folded formula would: constant or not, its value with every fact
+  // present, and whether a fact it keeps is conflicting.
   auto graph = db_.Hypergraph();
   ASSERT_OK(graph.status());
-  using cqa::GroundFormula;
-  GroundFormula clean = GroundFormula::And(
-      GroundFormula::Lit(RowId{0, 2}), GroundFormula::Lit(RowId{0, 3}));
-  EXPECT_TRUE(cqa::AllFactsConflictFree(clean, *graph.value()));
-  GroundFormula dirty = GroundFormula::Or(
-      GroundFormula::Lit(RowId{0, 2}),
-      GroundFormula::Not(GroundFormula::Lit(RowId{0, 0})));
-  EXPECT_FALSE(cqa::AllFactsConflictFree(dirty, *graph.value()));
+  for (const char* sql : {"SELECT * FROM r EXCEPT SELECT * FROM s",
+                          "SELECT * FROM r UNION SELECT * FROM s",
+                          "SELECT * FROM r INTERSECT SELECT * FROM s"}) {
+    auto plan = db_.Plan(sql);
+    ASSERT_OK(plan.status());
+    std::vector<Row> tuples = db_.catalog().table(0).rows();
+    for (const Row& row : db_.catalog().table(1).rows()) tuples.push_back(row);
+    tuples.push_back(Row{Value::Int(999), Value::Int(999)});
+    cqa::GroundProgram program(*plan.value());
+    cqa::IndexMembershipProvider membership(db_.catalog());
+    cqa::Grounder grounder(program, &membership);
+    for (const Row& tuple : tuples) {
+      ColumnBatch batch =
+          ColumnBatch::FromRows({tuple}, {TypeId::kInt, TypeId::kInt});
+      auto summary = grounder.Probe(batch, 0, graph.value());
+      ASSERT_OK(summary.status());
+      cqa::GroundFormula f = grounder.Formula(batch, 0);
+      std::vector<RowId> facts;
+      f.CollectFacts(&facts);
+      bool conflicting = false;
+      for (RowId rid : facts) {
+        conflicting = conflicting || graph.value()->IsConflicting(rid);
+      }
+      EXPECT_EQ(summary.value().is_const, f.IsConst()) << sql;
+      EXPECT_EQ(summary.value().value, f.Eval([](RowId) { return true; }))
+          << sql;
+      EXPECT_EQ(summary.value().conflicting, conflicting) << sql;
+    }
+  }
 }
 
 }  // namespace

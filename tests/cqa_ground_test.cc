@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cqa/engine.h"
 #include "cqa/envelope.h"
 #include "cqa/knowledge.h"
 #include "db/database.h"
@@ -26,14 +27,18 @@ class GroundTest : public ::testing::Test {
         "INSERT INTO s VALUES (1, 10), (3, 30)"));
   }
 
+  /// The folded formula of `tuple` (a row of q's output) as a candidate.
   GroundFormula Ground(const std::string& q, const Row& tuple) {
     auto plan = db_.Plan(q);
     EXPECT_OK(plan.status());
     IndexMembershipProvider membership(db_.catalog());
-    Grounder grounder(*plan.value(), &membership);
-    auto f = grounder.Ground(tuple);
-    EXPECT_OK(f.status());
-    return std::move(f).value();
+    cqa::GroundProgram program(*plan.value());
+    Grounder grounder(program, &membership);
+    std::vector<TypeId> types;
+    for (const Value& v : tuple) types.push_back(v.type());
+    ColumnBatch batch = ColumnBatch::FromRows({tuple}, types);
+    EXPECT_OK(grounder.Probe(batch, 0, nullptr).status());
+    return grounder.Formula(batch, 0);
   }
 
   Database db_;
@@ -226,6 +231,108 @@ TEST_F(GroundTest, EnvelopeIsSupersetOfAnswersInAnyRepair) {
           << "envelope missed " << RowToString(row);
     }
   }
+}
+
+// --- grounding counters ---------------------------------------------------
+
+/// One case per SJUD operator on a small inconsistent instance: the
+/// prover-route counters are pinned to the values the grounding order
+/// defines (membership checks skipped under short-circuits, filtered and
+/// constant candidates decided without the prover), in both membership
+/// modes.
+class GroundCountersTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_OK(db_.Execute(
+        "CREATE TABLE r (a INTEGER, b INTEGER);"
+        "CREATE TABLE s (a INTEGER, b INTEGER);"
+        "INSERT INTO r VALUES (1, 10), (1, 11), (2, 20), (3, 30), (4, 44),"
+        "                     (NULL, 5);"
+        "INSERT INTO s VALUES (2, 20), (4, 40), (4, 41), (3, 31), (1, 10),"
+        "                     (NULL, 5);"
+        "CREATE CONSTRAINT fd_r FD ON r (a -> b);"
+        "CREATE CONSTRAINT fd_s FD ON s (a -> b)"));
+  }
+
+  Database db_;
+};
+
+TEST_F(GroundCountersTest, CountersPinnedPerOperator) {
+  // Envelope candidates always ground to a non-constant formula, so
+  // constant_formulas stays 0 here (see the case below). The last two
+  // queries skip lookups: a failed filter, and a FALSE left operand of a
+  // difference, short-circuit their subtree.
+  struct Case {
+    const char* sql;
+    size_t candidates, answers, membership_checks, filtered_shortcuts,
+        prover_invocations, clauses_checked;
+    // Without filtering every candidate reaches the prover.
+    size_t clauses_unfiltered;
+  };
+  const Case cases[] = {
+      {"SELECT * FROM r WHERE b > 10", 4, 3, 4, 3, 1, 1, 4},
+      {"SELECT b, a FROM r", 6, 4, 6, 4, 2, 2, 6},
+      {"SELECT a, b, a FROM r", 6, 4, 6, 4, 2, 2, 6},
+      {"SELECT * FROM r, s", 36, 16, 72, 16, 20, 28, 60},
+      {"SELECT * FROM r, s WHERE r.a = s.a", 6, 2, 12, 2, 4, 6, 10},
+      {"SELECT * FROM r UNION SELECT * FROM s", 9, 6, 18, 5, 4, 4, 9},
+      {"SELECT * FROM r EXCEPT SELECT * FROM s", 6, 2, 12, 4, 2, 2, 8},
+      {"SELECT * FROM r INTERSECT SELECT * FROM s", 3, 2, 6, 2, 1, 1, 5},
+      {"SELECT * FROM r UNION SELECT * FROM s WHERE b > 20", 9, 5, 14, 5, 4,
+       4, 9},
+      {"(SELECT * FROM r EXCEPT SELECT * FROM s) UNION "
+       "(SELECT * FROM s EXCEPT SELECT * FROM r)",
+       9, 3, 30, 5, 4, 5, 12},
+  };
+  for (const Case& c : cases) {
+    for (auto mode : {cqa::HippoOptions::MembershipMode::kKnowledgeGathering,
+                      cqa::HippoOptions::MembershipMode::kQuery}) {
+      for (bool filtering : {true, false}) {
+        cqa::HippoOptions options;
+        options.route = RouteMode::kForceProver;
+        options.membership = mode;
+        options.use_filtering = filtering;
+        cqa::HippoStats stats;
+        auto rs = db_.ConsistentAnswers(c.sql, options, &stats);
+        ASSERT_OK(rs.status()) << c.sql;
+        std::string what =
+            std::string(c.sql) + (filtering ? "" : " unfiltered");
+        EXPECT_EQ(stats.candidates, c.candidates) << what;
+        EXPECT_EQ(stats.answers, c.answers) << what;
+        EXPECT_EQ(rs.value().NumRows(), c.answers) << what;
+        EXPECT_EQ(stats.membership_checks, c.membership_checks) << what;
+        EXPECT_EQ(stats.constant_formulas, 0u) << what;
+        EXPECT_EQ(stats.filtered_shortcuts,
+                  filtering ? c.filtered_shortcuts : 0)
+            << what;
+        EXPECT_EQ(stats.prover_invocations,
+                  filtering ? c.prover_invocations : c.candidates)
+            << what;
+        EXPECT_EQ(stats.clauses_checked,
+                  filtering ? c.clauses_checked : c.clauses_unfiltered)
+            << what;
+      }
+    }
+  }
+}
+
+TEST_F(GroundCountersTest, AbsentTupleIsAConstantFormula) {
+  // A tuple no operand holds grounds to FALSE after its first lookup: the
+  // intersection skips its right operand.
+  auto plan = db_.Plan("SELECT * FROM r INTERSECT SELECT * FROM s");
+  ASSERT_OK(plan.status());
+  auto graph = db_.Hypergraph();
+  ASSERT_OK(graph.status());
+  cqa::HippoEngine engine(db_.catalog(), *graph.value());
+  cqa::HippoStats stats;
+  auto ok = engine.IsConsistentAnswer(*plan.value(),
+                                      Row{Value::Int(7), Value::Int(7)},
+                                      cqa::HippoOptions(), &stats);
+  ASSERT_OK(ok.status());
+  EXPECT_FALSE(ok.value());
+  EXPECT_EQ(stats.constant_formulas, 1u);
+  EXPECT_EQ(stats.membership_checks, 1u);
+  EXPECT_EQ(stats.prover_invocations, 0u);
 }
 
 }  // namespace

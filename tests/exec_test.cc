@@ -8,6 +8,7 @@
 #include "exec/operators.h"
 #include "expr/binder.h"
 #include "sql/parser.h"
+#include "tests/naive_oracle.h"
 #include "tests/test_util.h"
 
 namespace hippo {
@@ -207,11 +208,119 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SetOpLaws,
 TEST(OperatorsTest, DedupPreservesFirstOccurrenceOrder) {
   std::vector<Row> rows = {{Value::Int(2)}, {Value::Int(1)}, {Value::Int(2)},
                            {Value::Int(3)}, {Value::Int(1)}};
-  std::vector<Row> out = exec::DedupRows(std::move(rows));
+  std::vector<Row> out =
+      exec::DedupBatch(ColumnBatch::FromRows(rows, {TypeId::kInt})).ToRows();
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0][0], Value::Int(2));
   EXPECT_EQ(out[1][0], Value::Int(1));
   EXPECT_EQ(out[2][0], Value::Int(3));
+}
+
+/// Cell-exact row equality: the same values AND the same runtime types
+/// (Row's operator== treats Int(2) and Double(2.0) as equal).
+void ExpectSameCells(const std::vector<Row>& got, const std::vector<Row>& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size()) << what;
+    for (size_t c = 0; c < got[i].size(); ++c) {
+      EXPECT_EQ(got[i][c].type(), want[i][c].type()) << what << " row " << i;
+      EXPECT_EQ(got[i][c], want[i][c]) << what << " row " << i;
+    }
+  }
+}
+
+TEST(OperatorsTest, SetOpsMatchLinearScansOnNullsDuplicatesAndMixedNumerics) {
+  // Duplicate rows, NULL cells (NULL equals NULL under set semantics), and
+  // Int(2) vs Double(2.0) cells, which are equal and hash alike; the first
+  // occurrence wins, with its own type. Both inputs also run narrowed to a
+  // selection, so physical and logical rows differ.
+  Value n = Value::Null();
+  std::vector<Row> left = {
+      {Value::Int(2), n},          {Value::Double(2.0), n},
+      {Value::Int(1), Value::Int(1)}, {n, n},
+      {Value::Int(2), n},          {Value::Int(3), Value::Double(1.5)},
+      {n, n},                      {Value::Double(1.0), Value::Int(1)},
+      {Value::Int(6), Value::Int(6)}};
+  std::vector<Row> right = {
+      {n, n},
+      {Value::Double(3.0), Value::Double(1.5)},
+      {Value::Int(4), Value::Int(4)},
+      {Value::Int(4), Value::Int(4)},
+      {Value::Double(2.0), n},
+      {Value::Int(5), n},
+      {Value::Int(6), n}};
+  std::vector<TypeId> types = {TypeId::kInt, TypeId::kDouble};
+  for (bool narrowed : {false, true}) {
+    ColumnBatch lb = ColumnBatch::FromRows(left, types);
+    ColumnBatch rb = ColumnBatch::FromRows(right, types);
+    std::vector<Row> l = left, r = right;
+    if (narrowed) {
+      // Drop the first row of each side.
+      std::vector<uint32_t> lk, rk;
+      for (uint32_t i = 1; i < left.size(); ++i) lk.push_back(i);
+      for (uint32_t i = 1; i < right.size(); ++i) rk.push_back(i);
+      lb = lb.Narrow(lk);
+      rb = rb.Narrow(rk);
+      l.erase(l.begin());
+      r.erase(r.begin());
+    }
+    std::vector<Row> want_union = l;
+    want_union.insert(want_union.end(), r.begin(), r.end());
+    want_union = naive_internal::Distinct(want_union);
+    std::vector<Row> want_diff, want_inter;
+    for (const Row& row : naive_internal::Distinct(l)) {
+      (naive_internal::Contains(r, row) ? want_inter : want_diff)
+          .push_back(row);
+    }
+    std::string what = narrowed ? " (narrowed)" : "";
+    ExpectSameCells(
+        exec::SetOpBatch(PlanKind::kUnion, lb, rb, types).ToRows(),
+        want_union, "union" + what);
+    ExpectSameCells(
+        exec::SetOpBatch(PlanKind::kDifference, lb, rb, types).ToRows(),
+        want_diff, "difference" + what);
+    ExpectSameCells(
+        exec::SetOpBatch(PlanKind::kIntersect, lb, rb, types).ToRows(),
+        want_inter, "intersect" + what);
+    ExpectSameCells(exec::DedupBatch(lb).ToRows(), naive_internal::Distinct(l),
+                    "dedup" + what);
+  }
+}
+
+TEST(OperatorsTest, FlatHashIndexComparesFullHashesBeforeKeys) {
+  // 64 rows with 64 distinct hashes in 64 buckets: buckets are shared, but
+  // the key predicate only ever sees the row whose stored hash matches.
+  constexpr uint32_t kRows = 64;
+  FlatHashIndex index(kRows);
+  for (uint32_t r = kRows; r-- > 0;) index.Insert(r, 1000 + r);
+  for (uint32_t r = 0; r < kRows; ++r) {
+    size_t calls = 0;
+    auto eq = [&](uint32_t row) {
+      ++calls;
+      EXPECT_EQ(row, r);
+      return true;
+    };
+    EXPECT_EQ(index.Find(1000 + r, eq), r);
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(index.Find(1000 + r, eq, r), FlatHashIndex::kNone);
+  }
+  EXPECT_EQ(index.Find(7, [](uint32_t) { return true; }),
+            FlatHashIndex::kNone);
+}
+
+TEST(OperatorsTest, FlatHashIndexChainsKeepInsertionOrderUnderCollisions) {
+  // Every row under one hash: the chain is the whole index. Rows inserted
+  // in descending order come back ascending, filtered by the key.
+  FlatHashIndex index(10);
+  for (uint32_t r = 10; r-- > 0;) index.Insert(r, 42);
+  auto even = [](uint32_t row) { return row % 2 == 0; };
+  std::vector<uint32_t> got;
+  for (uint32_t r = index.Find(42, even); r != FlatHashIndex::kNone;
+       r = index.Find(42, even, r)) {
+    got.push_back(r);
+  }
+  EXPECT_EQ(got, (std::vector<uint32_t>{0, 2, 4, 6, 8}));
 }
 
 TEST(OperatorsTest, AntiJoinPlanKeepsUnmatchedAndNullKeyedRows) {

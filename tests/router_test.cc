@@ -296,6 +296,36 @@ TEST_F(ForceRouteTest, ForceProverFailsOutsideSjud) {
   EXPECT_EQ(stats.routed_prover, 1u);
 }
 
+/// Depth of the first node of `kind` on a left-first walk, or -1.
+int DepthOf(const PlanNode& node, PlanKind kind, int depth = 0) {
+  if (node.kind() == kind) return depth;
+  for (size_t i = 0; i < node.NumChildren(); ++i) {
+    int d = DepthOf(node.child(i), kind, depth + 1);
+    if (d >= 0) return d;
+  }
+  return -1;
+}
+
+TEST_F(ForceRouteTest, RewrittenPlanIsOptimized) {
+  // The rewriter wraps the scan in an anti-join against its conflicting
+  // partners; the selective filter must run below it, not on its output.
+  auto plan = db_.Plan("SELECT * FROM emp WHERE salary > 45000");
+  ASSERT_OK(plan.status());
+  auto graph = db_.Hypergraph();
+  ASSERT_OK(graph.status());
+  auto route = ClassifyRoute(*plan.value(), db_.catalog(), &db_.constraints(),
+                             &db_.foreign_keys(), graph.value(),
+                             RouteMode::kForceRewrite);
+  ASSERT_OK(route.status());
+  ASSERT_NE(route.value().rewritten, nullptr);
+  const PlanNode& rewritten = *route.value().rewritten;
+  int anti = DepthOf(rewritten, PlanKind::kAntiJoin);
+  int filter = DepthOf(rewritten, PlanKind::kFilter);
+  ASSERT_GE(anti, 0) << rewritten.ToString();
+  ASSERT_GE(filter, 0) << rewritten.ToString();
+  EXPECT_GT(filter, anti) << rewritten.ToString();
+}
+
 TEST_F(ForceRouteTest, AutoPrefersCheaperRoutesAndStaysSound) {
   // Conflict-free beats rewriting beats prover; every route agrees with
   // exact all-repairs evaluation.
