@@ -12,10 +12,12 @@
 //     the rewrite route beats the prover on every tractable-class query;
 //     "-" marks routes that soundly refuse (prover cannot serve narrowing
 //     projections, rewriting cannot serve difference).
-//   * F12b: conflict-density sweep on the selection query — sparse pair
-//     conflicts favor the prover (the conflict-free shortcut decides almost
-//     every candidate), dense blocks favor the rewriting, and the router's
-//     shape-based auto choice tracks the rewrite column.
+//   * F12b: conflict-density sweep on the selection query — the prover's
+//     cost grows with density, the rewriting's does not, and the router's
+//     shape-based auto choice tracks the rewrite column. "auto/best" is
+//     auto's time over the faster forced route, a plain float that CI
+//     gates absolutely (check_bench.py --overhead-limit): a value well
+//     above 1 means the shape-based choice picked the slower route.
 //   * F12c: a 95%-tractable / 5%-difference request stream through
 //     service::QueryService (the engine hippo_serve_driver drives), with
 //     the per-route counts and mean latencies the service aggregates from
@@ -97,19 +99,37 @@ cqa::HippoOptions RouteOptions(RouteMode route) {
   return opt;
 }
 
-/// Median of three timed runs after one warm-up; negative when the route
-/// refuses the query.
-double TimeRoute(Database* db, const std::string& sql, RouteMode route) {
-  auto warm = db->ConsistentAnswers(sql, RouteOptions(route));
-  if (!warm.ok()) return -1;
-  std::vector<double> runs;
-  for (int i = 0; i < 3; ++i) {
-    runs.push_back(TimeOnce([&] {
-      HIPPO_CHECK(db->ConsistentAnswers(sql, RouteOptions(route)).ok());
-    }));
+struct RouteTimes {
+  double auto_secs, rewrite_secs, prover_secs;
+};
+
+/// Per route (auto, force-rewrite, force-prover), the median of seven
+/// timed runs after one warm-up; negative when the route refuses the
+/// query. The routes take turns, so a slow phase of the host hits all
+/// three alike and the ratios between them stay steady.
+RouteTimes TimeRoutes(Database* db, const std::string& sql) {
+  constexpr int kReps = 7;
+  const RouteMode routes[] = {RouteMode::kAuto, RouteMode::kForceRewrite,
+                              RouteMode::kForceProver};
+  std::vector<double> runs[3];
+  bool serves[3];
+  for (int r = 0; r < 3; ++r) {
+    serves[r] = db->ConsistentAnswers(sql, RouteOptions(routes[r])).ok();
   }
-  std::sort(runs.begin(), runs.end());
-  return runs[1];
+  for (int i = 0; i < kReps; ++i) {
+    for (int r = 0; r < 3; ++r) {
+      if (!serves[r]) continue;
+      runs[r].push_back(TimeOnce([&] {
+        HIPPO_CHECK(db->ConsistentAnswers(sql, RouteOptions(routes[r])).ok());
+      }));
+    }
+  }
+  double median[3];
+  for (int r = 0; r < 3; ++r) {
+    std::sort(runs[r].begin(), runs[r].end());
+    median[r] = serves[r] ? runs[r][kReps / 2] : -1;
+  }
+  return {median[0], median[1], median[2]};
 }
 
 // --------------------------------------------------------------- F12a
@@ -134,9 +154,7 @@ void PrintPerRouteTable() {
     auto rs = db->ConsistentAnswers(c.sql, RouteOptions(RouteMode::kAuto),
                                     &stats);
     HIPPO_CHECK_MSG(rs.ok(), rs.status().ToString().c_str());
-    double auto_secs = TimeRoute(db, c.sql, RouteMode::kAuto);
-    double rewrite_secs = TimeRoute(db, c.sql, RouteMode::kForceRewrite);
-    double prover_secs = TimeRoute(db, c.sql, RouteMode::kForceProver);
+    auto [auto_secs, rewrite_secs, prover_secs] = TimeRoutes(db, c.sql);
     std::string ratio = "-";
     if (rewrite_secs > 0 && prover_secs > 0) {
       ratio = StrFormat("%.1fx", prover_secs / rewrite_secs);
@@ -166,17 +184,16 @@ void PrintDensitySweepTable() {
       {"80% blocks of 64", DenseBlock(), 0.8},
   };
   TextTable table({"conflict density", "rewrite", "prover", "auto",
-                   "prover/rewrite"});
+                   "prover/rewrite", "auto/best"});
   for (const Density& d : densities) {
     Database* db = BlockDb(Rows(), d.block, d.rate);
-    double rewrite_secs =
-        TimeRoute(db, QuerySet::Selection(), RouteMode::kForceRewrite);
-    double prover_secs =
-        TimeRoute(db, QuerySet::Selection(), RouteMode::kForceProver);
-    double auto_secs = TimeRoute(db, QuerySet::Selection(), RouteMode::kAuto);
+    auto [auto_secs, rewrite_secs, prover_secs] =
+        TimeRoutes(db, QuerySet::Selection());
     table.AddRow({d.label, FormatSeconds(rewrite_secs),
                   FormatSeconds(prover_secs), FormatSeconds(auto_secs),
-                  StrFormat("%.1fx", prover_secs / rewrite_secs)});
+                  StrFormat("%.1fx", prover_secs / rewrite_secs),
+                  StrFormat("%.2f", auto_secs / std::min(rewrite_secs,
+                                                         prover_secs))});
   }
   table.Print(StrFormat(
       "F12b: conflict-density sweep, selection query (N=%zu per density)",

@@ -108,8 +108,12 @@ Result<PlanNodePtr> QueryRewriter::UnaryCleanScan(
     }
     // Self-pair residue: a same-table binary constraint can be violated by
     // a single tuple assigned to both atoms (the detector's self-join emits
-    // {t, t}, a unary hyperedge) — such a tuple is in no repair either.
-    if (dc.IsBinary() && dc.atoms()[0].table_id == table_id &&
+    // {t, t}, a unary hyperedge) — such a tuple is in no repair either. An
+    // FD has none: φ(x̄, x̄) needs some `col <> col`, which is never TRUE
+    // on a stored tuple (Table::CoerceRow refuses a NaN DOUBLE, the one
+    // value that is unequal to itself).
+    if (dc.IsBinary() && !dc.fd_info().has_value() &&
+        dc.atoms()[0].table_id == table_id &&
         dc.atoms()[1].table_id == table_id) {
       ExprPtr cond;
       if (dc.condition() == nullptr) {
@@ -155,6 +159,9 @@ Result<PlanNodePtr> QueryRewriter::GuardScan(const ScanNode& scan) {
       // preserved by previous guards), so indexes line up.
       current = std::make_unique<AntiJoinNode>(
           std::move(current), std::move(right), std::move(cond));
+      // An FD's φ is symmetric under swapping its two same-table atoms, so
+      // the residue at the second position would repeat this one.
+      if (dc.fd_info().has_value()) break;
     }
   }
   return current;
@@ -248,6 +255,15 @@ Result<PlanNodePtr> QueryRewriter::RewriteNode(const PlanNode& node) {
 //   GoodPair = pairs where t itself extends to the same answer
 //   Certain  = Good − π_w(AllPairs − GoodPair)
 //
+// The test "t is good" leaves out what φ and the witness's own filter
+// already imply: φ makes t agree with w on every FD determinant column, so
+// agreement there and local predicates over determinant columns only hold
+// for t as they hold for w. At a level without a subquery the test is a
+// predicate over the pair alone, so the same set is the anti-join
+// Certain = Good ▷_{φ ∧ NotTrue(good)} F, which never materializes a pair;
+// when nothing is left to test, every conflict neighbor is good and
+// Certain = Good.
+//
 // Soundness follows from repair maximality: if a witness w is deleted from
 // a repair, some conflict neighbor t of w is present (the only edges on a
 // KW table are its FD's binary edges), and t being "good for the answer"
@@ -328,6 +344,41 @@ struct KwCtx {
   /// Per atom: class -> first local column carrying it.
   std::vector<std::unordered_map<size_t, size_t>> local_rep;
 };
+
+/// The conjuncts of "neighbor t is good for the answer" over F's own
+/// columns, with the witness's F-columns at 0 and t's at `t_off`: F's local
+/// predicates on t, and t's agreement with the witness on each answer class
+/// F carries (answer classes outside F are the caller's). Conjuncts that φ
+/// and the witness's own filter already imply are left out (see the comment
+/// above). The test is on determinant columns, not on variable classes: an
+/// intra-atom `a = b` puts a dependent column into a key class, yet φ does
+/// not make t agree with w there.
+std::vector<ExprPtr> KwNeighborGoodness(
+    const KwCtx& ctx, size_t f, const std::vector<size_t>& answer_classes,
+    size_t t_off) {
+  const Schema& schema = ctx.shape->atoms[f].scan->schema();
+  const std::vector<size_t>& key = ctx.fd[f]->fd_info()->lhs;
+  auto is_key = [&key](size_t col) {
+    return std::find(key.begin(), key.end(), col) != key.end();
+  };
+
+  std::vector<ExprPtr> open;
+  for (const ExprPtr& e : ctx.shape->atom_local[f]) {
+    std::vector<int> cols = CollectColumnIndexes(*e);
+    bool on_key = std::all_of(cols.begin(), cols.end(), [&](int c) {
+      return is_key(static_cast<size_t>(c));
+    });
+    if (!on_key) open.push_back(ShiftedClone(*e, static_cast<int>(t_off)));
+  }
+  for (size_t cls : answer_classes) {
+    auto it = ctx.local_rep[f].find(cls);
+    if (it == ctx.local_rep[f].end() || is_key(it->second)) continue;
+    size_t col = it->second;
+    TypeId t = schema.column(col).type;
+    open.push_back(IsNotDistinct(col, t, t_off + col, t));
+  }
+  return open;
+}
 
 Result<PlanNodePtr> KwBuild(const KwCtx& ctx,
                             const std::vector<size_t>& remaining,
@@ -429,6 +480,22 @@ Result<PlanNodePtr> KwBuild(const KwCtx& ctx,
   if (ctx.fd[f] == nullptr) {
     // No constraint on F's table: every F-tuple is in every repair.
     certain = std::move(good);
+  } else if (sub2 == nullptr) {
+    // Lone atom: Certain = Good ▷_{φ ∧ NotTrue(good)} F, with φ bound over
+    // the witness at 0 and the neighbor at wf, or Good when φ implies
+    // every conjunct of `good`.
+    std::vector<ExprPtr> open =
+        KwNeighborGoodness(ctx, f, answer_classes, wf);
+    certain = std::move(good);
+    if (!open.empty()) {
+      const Expr* phi = ctx.fd[f]->condition();
+      HIPPO_CHECK_MSG(phi != nullptr, "FD constraint without a condition");
+      std::vector<ExprPtr> cond;
+      cond.push_back(phi->Clone());
+      cond.push_back(NotTrue(AndAll(std::move(open))));
+      certain = std::make_unique<AntiJoinNode>(
+          std::move(certain), atom.scan->Clone(), AndAll(std::move(cond)));
+    }
   } else {
     const Expr* phi = ctx.fd[f]->condition();
     HIPPO_CHECK_MSG(phi != nullptr, "FD constraint without a condition");
@@ -449,43 +516,29 @@ Result<PlanNodePtr> KwBuild(const KwCtx& ctx,
     size_t t_off = w;
 
     // A neighbor t is good for the answer when it satisfies F's local
-    // predicates, agrees with the witness on every answer class, and (when
-    // there are other atoms) joins some certain sub-answer of its own.
-    std::vector<ExprPtr> conds;
-    for (const ExprPtr& e : shape.atom_local[f]) {
-      conds.push_back(ShiftedClone(*e, static_cast<int>(t_off)));
-    }
+    // predicates, agrees with the witness on every answer class, and joins
+    // some certain sub-answer of its own.
+    std::vector<ExprPtr> conds =
+        KwNeighborGoodness(ctx, f, answer_classes, t_off);
     for (size_t cls : answer_classes) {
-      auto it = ctx.local_rep[f].find(cls);
-      if (it != ctx.local_rep[f].end()) {
-        conds.push_back(IsNotDistinct(
-            rep_in_good(cls), good_schema.column(rep_in_good(cls)).type,
-            t_off + it->second, scan_schema.column(it->second).type));
-      } else {
-        conds.push_back(IsNotDistinct(
-            wf + sub_idx(cls), sub_type(cls),
-            t_off + wf + sub_idx(cls), sub_type(cls)));
-      }
+      if (ctx.local_rep[f].count(cls) != 0) continue;
+      conds.push_back(IsNotDistinct(wf + sub_idx(cls), sub_type(cls),
+                                    t_off + wf + sub_idx(cls),
+                                    sub_type(cls)));
     }
-    PlanNodePtr good_pairs;
-    if (sub2 != nullptr) {
-      for (size_t c : sub_classes) {
-        auto it = ctx.local_rep[f].find(c);
-        if (it == ctx.local_rep[f].end()) continue;
-        conds.push_back(EqRefs(t_off + it->second,
-                               scan_schema.column(it->second).type,
-                               t_off + wf + sub_idx(c), sub_type(c)));
-      }
-      PlanNodePtr exist = std::make_unique<JoinNode>(
-          all_pairs->Clone(), std::move(sub2), AndAll(std::move(conds)));
-      std::vector<size_t> first(w + wf);
-      for (size_t i = 0; i < first.size(); ++i) first[i] = i;
-      good_pairs = ProjectPositions(std::move(exist), first,
-                                    all_pairs->schema());
-    } else {
-      good_pairs = std::make_unique<FilterNode>(all_pairs->Clone(),
-                                                AndAll(std::move(conds)));
+    for (size_t c : sub_classes) {
+      auto it = ctx.local_rep[f].find(c);
+      if (it == ctx.local_rep[f].end()) continue;
+      conds.push_back(EqRefs(t_off + it->second,
+                             scan_schema.column(it->second).type,
+                             t_off + wf + sub_idx(c), sub_type(c)));
     }
+    PlanNodePtr exist = std::make_unique<JoinNode>(
+        all_pairs->Clone(), std::move(sub2), AndAll(std::move(conds)));
+    std::vector<size_t> first(w + wf);
+    for (size_t i = 0; i < first.size(); ++i) first[i] = i;
+    PlanNodePtr good_pairs =
+        ProjectPositions(std::move(exist), first, all_pairs->schema());
     PlanNodePtr bad = std::make_unique<SetOpNode>(
         PlanKind::kDifference, std::move(all_pairs), std::move(good_pairs));
     std::vector<size_t> witness_cols(w);

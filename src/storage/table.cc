@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <cmath>
+
 #include "common/str_util.h"
 
 namespace hippo {
@@ -71,6 +73,13 @@ Result<Row> Table::CoerceRow(const Row& values) const {
   coerced.reserve(values.size());
   for (size_t i = 0; i < values.size(); ++i) {
     HIPPO_ASSIGN_OR_RETURN(Value v, values[i].CastTo(schema_.column(i).type));
+    // NaN is the one value unequal to itself: stored, it would violate an
+    // FD on its own and defeat the row index's set semantics.
+    if (v.type() == TypeId::kDouble && std::isnan(v.AsDouble())) {
+      return Status::InvalidArgument(StrFormat(
+          "INSERT into %s: column %s: NaN is not a storable DOUBLE",
+          name_.c_str(), schema_.column(i).name.c_str()));
+    }
     coerced.push_back(std::move(v));
   }
   return coerced;

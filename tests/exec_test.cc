@@ -5,8 +5,10 @@
 
 #include "common/rng.h"
 #include "db/database.h"
+#include "exec/batch_eval.h"
 #include "exec/operators.h"
 #include "expr/binder.h"
+#include "expr/evaluator.h"
 #include "sql/parser.h"
 #include "tests/naive_oracle.h"
 #include "tests/test_util.h"
@@ -351,6 +353,70 @@ TEST(OperatorsTest, AntiJoinPlanKeepsUnmatchedAndNullKeyedRows) {
     ASSERT_OK(rs.status());
     std::vector<Row> want = {{Value::Int(1)}, {Value::Null()}, {Value::Int(3)}};
     EXPECT_EQ(rs.value().rows, want) << threads << " threads";
+  }
+}
+
+TEST(OperatorsTest, IsNullOverABoolChildMatchesTheScalarEvaluator) {
+  // `NOT c OR c IS NULL` (the rewriter's NotTrue) and `c IS NOT NULL` over
+  // NULL-bearing columns, with c a comparison, a conjunction and a
+  // disjunction holding an IS NULL. IS NULL over a non-column child takes
+  // the per-row fallback inside an otherwise vectorized Kleene mask; the
+  // mask must equal the scalar evaluator on every row, also on a narrowed
+  // batch and a sub-range.
+  Value n = Value::Null();
+  std::vector<Row> rows;
+  for (const Value& a : {Value::Int(1), Value::Int(2), n}) {
+    for (const Value& b : {Value::Int(1), Value::Int(2), n}) {
+      rows.push_back({a, b});
+    }
+  }
+  auto ref = [](int i) { return ColumnRefExpr::Bound(i, TypeId::kInt); };
+  auto cmp = [](CompareOp op, ExprPtr l, ExprPtr r) {
+    ExprPtr e = std::make_unique<ComparisonExpr>(op, std::move(l),
+                                                 std::move(r));
+    e->set_result_type(TypeId::kBool);
+    return e;
+  };
+  auto is_null = [](ExprPtr child, bool negated) {
+    ExprPtr e = std::make_unique<IsNullExpr>(std::move(child), negated);
+    e->set_result_type(TypeId::kBool);
+    return e;
+  };
+  std::vector<ExprPtr> conds;
+  conds.push_back(cmp(CompareOp::kNe, ref(0), ref(1)));
+  conds.push_back(LogicalExpr::MakeAnd(
+      cmp(CompareOp::kEq, ref(0),
+          std::make_unique<LiteralExpr>(Value::Int(1))),
+      cmp(CompareOp::kNe, ref(0), ref(1))));
+  conds.push_back(LogicalExpr::MakeOr(cmp(CompareOp::kLt, ref(0), ref(1)),
+                                      is_null(ref(1), false)));
+
+  ColumnBatch full =
+      ColumnBatch::FromRows(rows, {TypeId::kInt, TypeId::kInt});
+  ColumnBatch narrowed = full.Narrow({8, 1, 4, 6, 3, 0});
+  for (const ExprPtr& c : conds) {
+    std::vector<ExprPtr> preds;
+    preds.push_back(LogicalExpr::MakeOr(LogicalExpr::MakeNot(c->Clone()),
+                                        is_null(c->Clone(), false)));
+    preds.push_back(is_null(c->Clone(), true));
+    for (const ExprPtr& pred : preds) {
+      for (const ColumnBatch* batch : {&full, &narrowed}) {
+        std::vector<Row> logical = batch->ToRows();
+        for (size_t begin : {size_t{0}, size_t{2}}) {
+          size_t end = batch->NumRows();
+          std::vector<int8_t> mask(end - begin);
+          exec::EvalPredicateMask(*pred, *batch, begin, end, mask.data());
+          for (size_t i = begin; i < end; ++i) {
+            Value want = EvalExpr(*pred, logical[i]);
+            int8_t tern = want.is_null()  ? exec::kTernNull
+                          : want.AsBool() ? exec::kTernTrue
+                                          : exec::kTernFalse;
+            EXPECT_EQ(mask[i - begin], tern)
+                << pred->ToString() << " on row " << i << " from " << begin;
+          }
+        }
+      }
+    }
   }
 }
 

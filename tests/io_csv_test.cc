@@ -93,6 +93,18 @@ TEST_F(CsvTest, TypeErrorsIdentifyLineAndColumn) {
   EXPECT_NE(stats.status().message().find("column 3"), std::string::npos);
 }
 
+TEST_F(CsvTest, NanIsRefused) {
+  // strtod accepts "nan", but the table refuses a value unequal to itself.
+  ASSERT_OK(db_.Execute("CREATE TABLE m (k INTEGER, v DOUBLE)"));
+  for (const char* cell : {"nan", "NAN", "-nan"}) {
+    auto stats = ImportCsvText(&db_, "m", std::string("k,v\n1,") + cell);
+    ASSERT_FALSE(stats.ok()) << cell;
+    EXPECT_NE(stats.status().message().find("NaN"), std::string::npos)
+        << stats.status().ToString();
+  }
+  ASSERT_OK(ImportCsvText(&db_, "m", "k,v\n1,inf\n2,-1.5\n").status());
+}
+
 TEST_F(CsvTest, ArityMismatchFails) {
   EXPECT_FALSE(
       ImportCsvText(&db_, "emp", "name,dept,salary\nann,sales\n").ok());
