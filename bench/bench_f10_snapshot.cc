@@ -14,13 +14,21 @@
 //     database: batches spread round-robin over the tables, so bigger
 //     batches dirty more tables and the published bytes grow with the
 //     touched set, not with the database.
+//   * F10c per-statement cost of the writes a commit applies, vs table
+//     size: a full-row DELETE (probes the table's row index), a key-only
+//     DELETE (scans every live row) and an INSERT. The probe/scan column
+//     (full-row over key-only DELETE) is gated absolutely in CI: a probe
+//     that degenerates into a scan shows up as a ratio near 1 on any host.
 //
 // Correctness of shared snapshots (answers, edge ids, immutability) is
-// proved by tests/snapshot_cow_test.cc; this binary only times publication.
+// proved by tests/snapshot_cow_test.cc, and of the DML access paths by
+// tests/dml_test.cc; this binary only times them.
 #include "bench/bench_common.h"
 
+#include <algorithm>
 #include <map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/str_util.h"
 #include "service/snapshot.h"
@@ -181,9 +189,109 @@ void PrintPublicationVsBatch() {
       kTables, RowsPerTable()));
 }
 
+constexpr size_t kDmlReps = 64;
+
+/// F10c's instance: p(a, b) with an FD a -> b and the rows (i, i), under
+/// incremental maintenance, as on the commit path.
+std::unique_ptr<Database> BuildDmlTable(size_t rows) {
+  auto db = std::make_unique<Database>();
+  Status st = db->Execute(
+      "CREATE TABLE p (a INTEGER, b INTEGER);"
+      "CREATE CONSTRAINT fd FD ON p (a -> b)");
+  HIPPO_CHECK_MSG(st.ok(), st.ToString().c_str());
+  for (size_t i = 0; i < rows; ++i) {
+    st = db->InsertRow("p", Row{Value::Int(static_cast<int64_t>(i)),
+                                Value::Int(static_cast<int64_t>(i))});
+    HIPPO_CHECK_MSG(st.ok(), st.ToString().c_str());
+  }
+  st = db->EnableIncrementalMaintenance();
+  HIPPO_CHECK_MSG(st.ok(), st.ToString().c_str());
+  return db;
+}
+
+void MustExecute(Database* db, const std::string& sql) {
+  Status st = db->Execute(sql);
+  HIPPO_CHECK_MSG(st.ok(), st.ToString().c_str());
+}
+
+/// Median wall time of the statement `sql(r)` over r < kDmlReps, each
+/// followed by the untimed `undo(r)`, which restores the instance.
+double MedianStatementSeconds(Database* db,
+                              const std::function<std::string(size_t)>& sql,
+                              const std::function<std::string(size_t)>& undo) {
+  std::vector<double> times;
+  for (size_t r = 0; r < kDmlReps; ++r) {
+    std::string stmt = sql(r);
+    times.push_back(TimeOnce([&] { MustExecute(db, stmt); }));
+    MustExecute(db, undo(r));
+  }
+  std::nth_element(times.begin(), times.begin() + kDmlReps / 2, times.end());
+  return times[kDmlReps / 2];
+}
+
+void PrintDmlAccessPaths() {
+  TextTable table({"rows", "full-row delete", "key-only delete", "insert",
+                   "probe/scan"});
+  const std::vector<size_t> sizes =
+      SmokeMode() ? std::vector<size_t>{1024}
+                  : std::vector<size_t>{1024, 8192, 65536};
+  for (size_t rows : sizes) {
+    std::unique_ptr<Database> db = BuildDmlTable(rows);
+    // Live keys spread over the table; new keys above it.
+    auto key = [rows](size_t r) {
+      return static_cast<long long>((r * 7919 + 17) % rows);
+    };
+    auto reinsert = [&](size_t r) {
+      return StrFormat("INSERT INTO p VALUES (%lld, %lld)", key(r), key(r));
+    };
+    const DmlStats start = db->dml_stats();
+    double probe = MedianStatementSeconds(
+        db.get(),
+        [&](size_t r) {
+          return StrFormat("DELETE FROM p WHERE a = %lld AND b = %lld",
+                           key(r), key(r));
+        },
+        reinsert);
+    const DmlStats probed = db->dml_stats();
+    double scan = MedianStatementSeconds(
+        db.get(),
+        [&](size_t r) {
+          return StrFormat("DELETE FROM p WHERE a = %lld", key(r));
+        },
+        reinsert);
+    const DmlStats scanned = db->dml_stats();
+    // The work each column claims: one probe and one row per full-row
+    // DELETE, every live row per key-only DELETE.
+    HIPPO_CHECK(probed.index_probes - start.index_probes == kDmlReps);
+    HIPPO_CHECK(probed.rows_examined - start.rows_examined == kDmlReps);
+    HIPPO_CHECK(scanned.index_probes == probed.index_probes);
+    HIPPO_CHECK(scanned.rows_examined - probed.rows_examined ==
+                kDmlReps * rows);
+    double insert = MedianStatementSeconds(
+        db.get(),
+        [&](size_t r) {
+          long long k = static_cast<long long>(rows + r);
+          return StrFormat("INSERT INTO p VALUES (%lld, %lld)", k, k);
+        },
+        [&](size_t r) {
+          long long k = static_cast<long long>(rows + r);
+          return StrFormat("DELETE FROM p WHERE a = %lld AND b = %lld", k, k);
+        });
+    table.AddRow({std::to_string(rows), FormatSeconds(probe),
+                  FormatSeconds(scan), FormatSeconds(insert),
+                  StrFormat("%.3f", probe / scan)});
+  }
+  table.Print(StrFormat(
+      "F10c: per-statement DML cost vs table size, FD table under "
+      "incremental maintenance (median of %zu statements; probe/scan = "
+      "full-row over key-only DELETE)",
+      kDmlReps));
+}
+
 void PrintFigureTables() {
   PrintPublicationVsTables();
   PrintPublicationVsBatch();
+  PrintDmlAccessPaths();
 }
 
 void BM_CowPublish(benchmark::State& state) {

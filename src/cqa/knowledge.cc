@@ -68,8 +68,10 @@ Result<std::optional<RowId>> IndexMembershipProvider::Lookup(
   HIPPO_RETURN_NOT_OK(CheckArity(table, cols));
   std::shared_ptr<const TableColumns>& view = views_[table_id];
   if (view == nullptr) view = table.columnar();
-  // Hashed as SlotIndex hashes a slot; cells compare as Value::operator==
-  // (NULL == NULL), so the probe finds the slot Table::Find finds.
+  // Hashed as HashRow hashes the slot's row, which is how the table's row
+  // index links it; cells compare against the columnar image as
+  // Value::operator== (NULL == NULL), so the probe finds the slot
+  // Table::Find finds.
   const uint32_t phys = batch.Physical(row);
   size_t hash = cols.size();
   for (uint32_t c : cols) HashCombine(&hash, batch.col(c).HashAt(phys));
@@ -81,7 +83,7 @@ Result<std::optional<RowId>> IndexMembershipProvider::Lookup(
     }
     return true;
   };
-  uint32_t slot = view->SlotIndex().Find(hash, same);
+  uint32_t slot = table.row_index().Find(hash, same);
   if (slot == FlatHashIndex::kNone || !table.IsLive(slot)) {
     return std::optional<RowId>(std::nullopt);
   }

@@ -35,11 +35,11 @@ class QueryMembershipProvider final : public MembershipProvider {
   size_t lookups_ = 0;
 };
 
-/// Knowledge-gathering mode: lookups probe the slot index of each touched
-/// table's columnar view (TableColumns::SlotIndex, built once per image
-/// and shared by every query and prover worker reading it) and issue no
-/// queries. One provider per thread; the catalog must not change while it
-/// lives, as it keeps the views it fetched.
+/// Knowledge-gathering mode: lookups walk each touched table's own row
+/// index (Table::row_index, kept up to date by every insert, so no build
+/// on the read path) and compare cells against the table's columnar view;
+/// they issue no queries. One provider per thread; the catalog must not
+/// change while it lives, as it keeps the views it fetched.
 class IndexMembershipProvider final : public MembershipProvider {
  public:
   explicit IndexMembershipProvider(const Catalog& catalog)

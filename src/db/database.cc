@@ -160,35 +160,110 @@ Status Database::InsertRow(const std::string& table_name, Row values) {
   return Status::OK();
 }
 
+namespace {
+
+/// The one row `where` can match when it is a conjunction holding, for
+/// every column, a conjunct `col = c` (either side) whose column-free `c`
+/// evaluates to a non-NULL value of the column's own type: every row
+/// satisfying `where` equals it. Any other shape yields nullopt. Mixed
+/// numerics never pin: Int against Double compares as doubles, so a probe
+/// could miss a row at or above 2^53 (DESIGN §3.1). Conjuncts that pin
+/// nothing are left to the caller's re-check of the whole `where`.
+std::optional<Row> PinnedRow(const Schema& schema, const Expr& where) {
+  Row row(schema.NumColumns());  // NULL until pinned; a pin is never NULL
+  for (const Expr* conjunct : SplitConjuncts(where)) {
+    if (conjunct->kind() != ExprKind::kComparison) continue;
+    const auto& cmp = static_cast<const ComparisonExpr&>(*conjunct);
+    if (cmp.op() != CompareOp::kEq) continue;
+    const Expr* column = &cmp.left();
+    const Expr* constant = &cmp.right();
+    if (column->kind() != ExprKind::kColumnRef) std::swap(column, constant);
+    if (column->kind() != ExprKind::kColumnRef ||
+        !CollectColumnIndexes(*constant).empty()) {
+      continue;
+    }
+    const auto i =
+        static_cast<size_t>(static_cast<const ColumnRefExpr*>(column)->index());
+    if (!row[i].is_null()) continue;
+    Value value = EvalConst(*constant);
+    if (value.is_null() || value.type() != schema.column(i).type) continue;
+    row[i] = std::move(value);
+  }
+  for (const Value& v : row) {
+    if (v.is_null()) return std::nullopt;
+  }
+  return row;
+}
+
+}  // namespace
+
+std::optional<uint32_t> Database::ProbeRow(const Table& table,
+                                           const Row& canonical) {
+  ++dml_stats_.index_probes;
+  std::optional<RowId> rid = table.Find(canonical);
+  if (!rid.has_value()) return std::nullopt;
+  ++dml_stats_.rows_examined;
+  return rid->row;
+}
+
+std::vector<uint32_t> Database::MatchRows(const Table& table,
+                                          const Expr* where) {
+  ++dml_stats_.statements;
+  std::vector<uint32_t> matched;
+  std::optional<Row> pinned =
+      where != nullptr ? PinnedRow(table.schema(), *where) : std::nullopt;
+  if (pinned.has_value()) {
+    // Re-check the whole WHERE on the probed row: a column bound twice
+    // (or an extra conjunct) may still reject it.
+    std::optional<uint32_t> slot = ProbeRow(table, *pinned);
+    if (slot.has_value() && EvalPredicate(*where, table.row(*slot))) {
+      matched.push_back(*slot);
+    }
+    return matched;
+  }
+  for (uint32_t i = 0; i < table.NumRows(); ++i) {
+    if (!table.IsLive(i)) continue;
+    ++dml_stats_.rows_examined;
+    if (where == nullptr || EvalPredicate(*where, table.row(i))) {
+      matched.push_back(i);
+    }
+  }
+  return matched;
+}
+
+Status Database::DeleteSlots(uint32_t table_id,
+                             const std::vector<uint32_t>& slots) {
+  // Unshare (copy-on-write) only when some row actually matched, so a
+  // no-op DELETE never clones a snapshot-shared table.
+  if (slots.empty()) return Status::OK();
+  Table& table = catalog_.MutableTable(table_id);
+  for (uint32_t i : slots) {
+    table.Delete(i);
+    HIPPO_RETURN_NOT_OK(NoteDelete(RowId{table_id, i}));
+  }
+  return Status::OK();
+}
+
 Status Database::DeleteRow(const std::string& table_name, const Row& values) {
-  // Validate and probe on the const view: a miss must not copy-on-write a
-  // snapshot-shared table (unshare only when a row actually changes).
   HIPPO_ASSIGN_OR_RETURN(const Table* table,
                          std::as_const(catalog_).GetTable(table_name));
-  // Coerce to the column types so lookup matches Insert's canonical form.
   if (values.size() != table->schema().NumColumns()) {
     return Status::InvalidArgument(
         StrFormat("DELETE from %s: expected %zu values, got %zu",
                   table_name.c_str(), table->schema().NumColumns(),
                   values.size()));
   }
-  Row coerced;
-  coerced.reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    HIPPO_ASSIGN_OR_RETURN(Value v,
-                           values[i].CastTo(table->schema().column(i).type));
-    coerced.push_back(std::move(v));
-  }
-  std::optional<RowId> rid = table->Find(coerced);
-  if (!rid.has_value()) return Status::OK();
-  catalog_.MutableTable(rid->table).Delete(rid->row);
-  return NoteDelete(*rid);
+  ++dml_stats_.statements;
+  // A value that cannot be stored (uncoercible, or NaN) names no stored
+  // row: a miss, as in Table::Find.
+  Result<Row> coerced = table->CoerceRow(values);
+  if (!coerced.ok()) return Status::OK();
+  std::optional<uint32_t> slot = ProbeRow(*table, coerced.value());
+  if (!slot.has_value()) return Status::OK();
+  return DeleteSlots(table->id(), {*slot});
 }
 
 Status Database::ExecuteDelete(const sql::DeleteStmt& stmt) {
-  // Bind and scan on the const view; unshare (copy-on-write) only when
-  // some row actually matched, so a no-op DELETE never clones a
-  // snapshot-shared table.
   HIPPO_ASSIGN_OR_RETURN(const Table* table,
                          std::as_const(catalog_).GetTable(stmt.table));
   ExprPtr where;
@@ -200,21 +275,7 @@ Status Database::ExecuteDelete(const sql::DeleteStmt& stmt) {
     ExprBinder binder(scope);
     HIPPO_RETURN_NOT_OK(binder.BindPredicate(where.get()));
   }
-  std::vector<uint32_t> matched;
-  for (uint32_t i = 0; i < table->NumRows(); ++i) {
-    if (!table->IsLive(i)) continue;
-    if (where == nullptr || EvalPredicate(*where, table->row(i))) {
-      matched.push_back(i);
-    }
-  }
-  if (matched.empty()) return Status::OK();
-  uint32_t id = table->id();
-  Table& mutable_table = catalog_.MutableTable(id);  // invalidates `table`
-  for (uint32_t i : matched) {
-    mutable_table.Delete(i);
-    HIPPO_RETURN_NOT_OK(NoteDelete(RowId{id, i}));
-  }
-  return Status::OK();
+  return DeleteSlots(table->id(), MatchRows(*table, where.get()));
 }
 
 Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
@@ -243,28 +304,23 @@ Status Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
   }
   // Pass 1: collect matches and compute replacement rows against the
   // pre-update image (no Halloween effects).
-  std::vector<uint32_t> matched;
+  std::vector<uint32_t> matched = MatchRows(*table, where.get());
+  if (matched.empty()) return Status::OK();
   std::vector<Row> replacements;
-  for (uint32_t i = 0; i < table->NumRows(); ++i) {
-    if (!table->IsLive(i)) continue;
+  replacements.reserve(matched.size());
+  for (uint32_t i : matched) {
     const Row& row = table->row(i);
-    if (where != nullptr && !EvalPredicate(*where, row)) continue;
     Row updated = row;
     for (const Assignment& a : assignments) {
       updated[a.column] = EvalExpr(*a.value, row);
     }
-    matched.push_back(i);
     replacements.push_back(std::move(updated));
   }
-  if (matched.empty()) return Status::OK();
   // Pass 2: delete originals, then insert replacements (set semantics:
   // updating a row onto an existing one merges them).
-  uint32_t id = table->id();
-  Table& mutable_table = catalog_.MutableTable(id);  // invalidates `table`
-  for (uint32_t i : matched) {
-    mutable_table.Delete(i);
-    HIPPO_RETURN_NOT_OK(NoteDelete(RowId{id, i}));
-  }
+  const uint32_t id = table->id();
+  HIPPO_RETURN_NOT_OK(DeleteSlots(id, matched));  // invalidates `table`
+  Table& mutable_table = catalog_.MutableTable(id);
   for (Row& r : replacements) {
     HIPPO_ASSIGN_OR_RETURN(auto inserted, mutable_table.Insert(r));
     if (inserted.second) {

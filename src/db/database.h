@@ -35,6 +35,17 @@
 
 namespace hippo {
 
+/// Access-path counts of the row-locating DML: DELETE and UPDATE
+/// statements and DeleteRow calls. A statement whose WHERE pins every
+/// column to a constant (DeleteRow always does) probes the table's row
+/// index and examines at most the one row the probe returns; any other
+/// statement scans and examines every live row.
+struct DmlStats {
+  uint64_t statements = 0;
+  uint64_t index_probes = 0;
+  uint64_t rows_examined = 0;
+};
+
 class Database {
  public:
   Database() = default;
@@ -243,6 +254,10 @@ class Database {
   /// Stats from the last detection run.
   const DetectStats& detect_stats() const { return detect_stats_; }
 
+  /// Cumulative DML access-path counts of this database (a fork starts
+  /// from zero).
+  const DmlStats& dml_stats() const { return dml_stats_; }
+
  private:
   Result<PlanNodePtr> PlanParsed(const sql::SelectStmt& stmt) const;
 
@@ -253,6 +268,19 @@ class Database {
 
   Status ExecuteDelete(const sql::DeleteStmt& stmt);
   Status ExecuteUpdate(const sql::UpdateStmt& stmt);
+
+  /// The access path DELETE and UPDATE share: the live slots of `table`
+  /// satisfying the bound `where` (every live slot when null), in slot
+  /// order. Probes the row index when `where` pins every column to a
+  /// constant of its type and re-checks `where` on the probed row; scans
+  /// otherwise. Counts one statement into dml_stats_.
+  std::vector<uint32_t> MatchRows(const Table& table, const Expr* where);
+  /// The live slot holding `canonical` (already coerced), via the row
+  /// index; counts the probe and the row it examines.
+  std::optional<uint32_t> ProbeRow(const Table& table, const Row& canonical);
+  /// Tombstones `slots` of table `table_id` and notes each delete.
+  /// Unshares the table only when `slots` is non-empty.
+  Status DeleteSlots(uint32_t table_id, const std::vector<uint32_t>& slots);
 
   /// True if `table_id` appears as the parent of a registered foreign key.
   bool IsFkParent(uint32_t table_id) const;
@@ -270,6 +298,7 @@ class Database {
   uint64_t hypergraph_epoch_ = 0;
   DetectOptions detect_options_;
   DetectStats detect_stats_;
+  DmlStats dml_stats_;
   bool incremental_enabled_ = false;
   std::unique_ptr<IncrementalDetector> incremental_;
   bool optimizer_enabled_ = true;

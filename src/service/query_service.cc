@@ -134,6 +134,10 @@ void QueryService::InitMetrics() {
   m_commits_ = r->GetCounter("hippo_commits_total");
   m_queries_ = r->GetCounter("hippo_queries_total");
   m_rejected_ = r->GetCounter("hippo_queries_rejected_total");
+  // Whether a slow commit scanned: DELETE/UPDATE row-index probes and the
+  // rows they (or the scans) examined.
+  m_dml_probes_ = r->GetCounter("hippo_dml_index_probes_total");
+  m_dml_examined_ = r->GetCounter("hippo_dml_rows_examined_total");
   // Historical key name; since the exclusive commit mutex became the
   // admission ring, this records the ring wait (admission -> apply start).
   m_commit_lock_wait_ = r->GetHistogram("hippo_commit_lock_wait_seconds");
@@ -160,6 +164,13 @@ void QueryService::InitMetrics() {
       "hippo_query_seconds", {{"route", "plain"}}));
   m_core_latency_ = r->GetHistogram(obs::MetricsRegistry::Labeled(
       "hippo_query_seconds", {{"route", "core"}}));
+}
+
+void QueryService::RecordDml(const Database& db, const DmlStats& before) {
+  if (m_dml_probes_ == nullptr) return;
+  const DmlStats& after = db.dml_stats();
+  m_dml_probes_->Add(after.index_probes - before.index_probes);
+  m_dml_examined_->Add(after.rows_examined - before.rows_examined);
 }
 
 // --- write path: admission --------------------------------------------------
@@ -372,12 +383,14 @@ void QueryService::ProcessSmallGroup(std::vector<CommitRequest> group) {
   Status published;
   {
     std::lock_guard<std::mutex> lock(master_mu_);
+    const DmlStats dml_before = master_->dml_stats();
     auto apply_start = std::chrono::steady_clock::now();
     for (CommitRequest& req : group) {
       req.queue_seconds = SecondsBetween(req.admitted, apply_start);
       req.applied = master_->Execute(req.sql);
     }
     shared.apply_seconds = SecondsSince(apply_start);
+    RecordDml(*master_, dml_before);
     if (!master_->hypergraph_current()) {
       // Defense in depth: a statement classified as plain DML invalidated
       // the graph anyway (e.g. DDL the classifier missed). Restore the
@@ -419,12 +432,14 @@ void QueryService::ProcessSyncRedetect(std::vector<CommitRequest> group) {
     // cheaper. Drop the maintainer up front so DML only invalidates.
     master_->DisableIncrementalMaintenance();
     master_->InvalidateHypergraph();
+    const DmlStats dml_before = master_->dml_stats();
     auto apply_start = std::chrono::steady_clock::now();
     for (CommitRequest& req : group) {
       req.queue_seconds = SecondsBetween(req.admitted, apply_start);
       req.applied = master_->Execute(req.sql);
     }
     shared.apply_seconds = SecondsSince(apply_start);
+    RecordDml(*master_, dml_before);
     auto detect_start = std::chrono::steady_clock::now();
     Status restored = master_->EnableIncrementalMaintenance();
     shared.detect_seconds = SecondsSince(detect_start);
@@ -463,6 +478,7 @@ void QueryService::StartAsyncRound(std::vector<CommitRequest> group) {
       req.applied = fork_->Execute(req.sql);
     }
     double apply_seconds = SecondsSince(apply_start);
+    RecordDml(*fork_, DmlStats());  // a fork starts from zero
     auto detect_start = std::chrono::steady_clock::now();
     Status st = fork_->EnableIncrementalMaintenance();
     double detect_seconds = SecondsSince(detect_start);
@@ -501,11 +517,13 @@ void QueryService::FinishAsyncRound() {
       // Statement outcomes may differ from the master application (they
       // now see the bulk's effects — serial semantics); the receipts
       // already reported the master-lineage status.
+      const DmlStats dml_before = fork_->dml_stats();
       auto replay_start = std::chrono::steady_clock::now();
       for (const std::string& sql : replay_log_) {
         (void)fork_->Execute(sql);
       }
       shared.replay_seconds = SecondsSince(replay_start);
+      RecordDml(*fork_, dml_before);
       if (!fork_->hypergraph_current()) {
         // A replayed script invalidated the fork's graph (hidden DDL that
         // the small-path fallback also re-detected on the master).

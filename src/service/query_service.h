@@ -435,6 +435,10 @@ class QueryService {
   /// metrics are disabled, so every record site is a single branch).
   void InitMetrics();
 
+  /// Adds the DML access-path counts `db` gathered since `before` (its
+  /// dml_stats() when the apply started) to the registry.
+  void RecordDml(const Database& db, const DmlStats& before);
+
   /// Offers one finished pool request to the slow-query log (stats_mu_
   /// must be held). Keeps the top-K by latency.
   void NoteSlowQueryLocked(const Job& job, RouteKind route, double seconds,
@@ -505,6 +509,8 @@ class QueryService {
   obs::Counter* m_commits_ = nullptr;
   obs::Counter* m_queries_ = nullptr;
   obs::Counter* m_rejected_ = nullptr;
+  obs::Counter* m_dml_probes_ = nullptr;
+  obs::Counter* m_dml_examined_ = nullptr;
   obs::LatencyHistogram* m_commit_lock_wait_ = nullptr;
   obs::LatencyHistogram* m_commit_apply_ = nullptr;
   obs::LatencyHistogram* m_detect_incremental_ = nullptr;

@@ -12,24 +12,7 @@ size_t TableColumns::ApproxBytes() const {
     bytes += sizeof(ColumnVector) + c->ApproxBytes();
   }
   if (rowids) bytes += sizeof(ColumnVector) + rowids->ApproxBytes();
-  if (slot_index_built_.load(std::memory_order_acquire)) {
-    bytes += slot_index_.ApproxBytes();
-  }
   return bytes;
-}
-
-const FlatHashIndex& TableColumns::SlotIndex() const {
-  std::call_once(slot_index_once_, [this] {
-    FlatHashIndex index(num_slots);
-    for (size_t i = num_slots; i-- > 0;) {
-      size_t hash = columns.size();  // seeded like HashRow
-      for (const ColumnVectorPtr& c : columns) HashCombine(&hash, c->HashAt(i));
-      index.Insert(static_cast<uint32_t>(i), hash);
-    }
-    slot_index_ = std::move(index);
-    slot_index_built_.store(true, std::memory_order_release);
-  });
-  return slot_index_;
 }
 
 Table::Table(const Table& other)
@@ -87,9 +70,9 @@ Result<Row> Table::CoerceRow(const Row& values) const {
 
 Result<std::pair<RowId, bool>> Table::Insert(const Row& values) {
   HIPPO_ASSIGN_OR_RETURN(Row coerced, CoerceRow(values));
-  auto it = index_.find(coerced);
-  if (it != index_.end()) {
-    uint32_t idx = it->second;
+  const size_t hash = HashRow(coerced);
+  uint32_t idx = FindSlot(coerced, hash);
+  if (idx != FlatHashIndex::kNone) {
     if (live_[idx]) {
       return std::make_pair(RowId{id_, idx}, false);
     }
@@ -99,8 +82,7 @@ Result<std::pair<RowId, bool>> Table::Insert(const Row& values) {
     ++num_live_;
     return std::make_pair(RowId{id_, idx}, true);
   }
-  uint32_t idx = static_cast<uint32_t>(rows_.size());
-  index_.emplace(coerced, idx);
+  idx = index_.Append(hash);
   rows_.push_back(std::move(coerced));
   live_.push_back(true);
   ++num_live_;
@@ -115,8 +97,13 @@ bool Table::Delete(uint32_t row_index) {
   return true;
 }
 
+uint32_t Table::FindSlot(const Row& canonical, size_t hash) const {
+  return index_.Find(
+      hash, [&](uint32_t slot) { return rows_[slot] == canonical; });
+}
+
 std::optional<RowId> Table::Find(const Row& values) const {
-  // The index stores rows in canonical (schema-coerced) form; probing with
+  // Rows are stored in canonical (schema-coerced) form; probing with
   // the caller's literal types would silently miss e.g. Double(2.0) against
   // an INT column stored as Int(2). Coerce first — cheap fast path when the
   // probe already matches the schema.
@@ -125,24 +112,21 @@ std::optional<RowId> Table::Find(const Row& values) const {
     canonical = values[i].is_null() ||
                 values[i].type() == schema_.column(i).type;
   }
-  if (canonical) {
-    auto it = index_.find(values);
-    if (it == index_.end() || !live_[it->second]) return std::nullopt;
-    return RowId{id_, it->second};
+  if (!canonical) {
+    Result<Row> coerced = CoerceRow(values);
+    // Wrong arity or an uncoercible value cannot name a stored row: a miss.
+    return coerced.ok() ? Find(coerced.value()) : std::nullopt;
   }
-  Result<Row> coerced = CoerceRow(values);
-  // Wrong arity or an uncoercible value cannot name a stored row: a miss.
-  if (!coerced.ok()) return std::nullopt;
-  auto it = index_.find(coerced.value());
-  if (it == index_.end() || !live_[it->second]) return std::nullopt;
-  return RowId{id_, it->second};
+  const uint32_t slot = FindSlot(values, HashRow(values));
+  if (slot == FlatHashIndex::kNone || !live_[slot]) return std::nullopt;
+  return RowId{id_, slot};
 }
 
 void Table::Clear() {
   rows_.clear();
   live_.clear();
   num_live_ = 0;
-  index_.clear();
+  index_ = FlatHashIndex();
   InvalidateColumnar();
 }
 
@@ -203,13 +187,7 @@ size_t Table::ApproxBytes() const {
   bytes += schema_.NumColumns() * sizeof(Column);
   for (const Row& row : rows_) bytes += ApproxRowBytes(row);
   bytes += live_.capacity() / 8;
-  // The index stores a second copy of every row plus node and bucket-array
-  // overhead; the bucket array scales with bucket_count(), not size().
-  for (const auto& [row, idx] : index_) {
-    (void)idx;
-    bytes += ApproxRowBytes(row) + sizeof(uint32_t) + 2 * sizeof(void*);
-  }
-  bytes += index_.bucket_count() * sizeof(void*);
+  bytes += index_.ApproxBytes();
   // The memoized columnar view owns its own typed buffers.
   std::shared_ptr<const TableColumns> view;
   {

@@ -12,12 +12,10 @@
 // maintenance of the conflict hypergraph under updates possible.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -64,20 +62,7 @@ struct TableColumns {
   ColumnVectorPtr rowids;
   size_t num_slots = 0;
 
-  /// Full-row hash index over every slot, hashed as HashRow hashes the
-  /// slot's row. Built on first use, once per image, and read concurrently
-  /// after that: every reader of the image (and every table copy sharing
-  /// it) shares one build. Tombstoned slots are indexed too; a slot's
-  /// values never change and set semantics keep slots distinct, so a probe
-  /// finds at most one slot, whose liveness the caller checks.
-  const FlatHashIndex& SlotIndex() const;
-
   size_t ApproxBytes() const;
-
- private:
-  mutable std::once_flag slot_index_once_;
-  mutable std::atomic<bool> slot_index_built_{false};
-  mutable FlatHashIndex slot_index_{0};
 };
 
 /// \brief A base relation: schema + rows, append-only with set semantics.
@@ -126,10 +111,17 @@ class Table {
   bool Delete(uint32_t row_index);
 
   /// Looks up the RowId of an exact *live* row, if present (O(1) expected).
-  /// `values` is coerced to the column types first (the index stores rows in
+  /// `values` is coerced to the column types first (rows are stored in
   /// canonical form), so probing an INT column with 2.0 finds the row; an
   /// uncoercible or wrong-arity probe is simply a miss.
   std::optional<RowId> Find(const Row& values) const;
+
+  /// The full-row index over every slot, tombstoned ones included: slot
+  /// `i` is linked under HashRow(row(i)). Set semantics keep slots
+  /// distinct, so a probe matches at most one slot, whose liveness the
+  /// caller checks. Lets a reader compare cells its own way (the
+  /// knowledge-gathering probe compares against the columnar image).
+  const FlatHashIndex& row_index() const { return index_; }
 
   /// Clears all rows (used by workload generators between configurations).
   void Clear();
@@ -141,13 +133,16 @@ class Table {
   std::shared_ptr<const TableColumns> columnar() const;
 
   /// Rough resident size of this table in bytes: rows (including string
-  /// payloads, SSO-aware), tombstone bits, the full-row hash index with its
-  /// bucket array, and the memoized columnar view's buffers. Used by the
+  /// payloads, SSO-aware), tombstone bits, the row index's three arrays,
+  /// and the memoized columnar view's buffers. Used by the
   /// per-snapshot memory accounting (Catalog::ApproxBytes, `.mem`).
   size_t ApproxBytes() const;
 
  private:
   void InvalidateColumnar();
+  /// Slot holding `canonical` (already coerced, hashed to `hash` by
+  /// HashRow), live or not, or kNone.
+  uint32_t FindSlot(const Row& canonical, size_t hash) const;
 
   uint32_t id_;
   std::string name_;
@@ -155,9 +150,10 @@ class Table {
   std::vector<Row> rows_;
   std::vector<bool> live_;
   size_t num_live_ = 0;
-  // Full-row hash index enforcing set semantics and serving Find(); entries
-  // for tombstoned rows are kept so a re-insert resurrects the old RowId.
-  std::unordered_map<Row, uint32_t, RowHasher, RowEq> index_;
+  // Full-row index over rows_ enforcing set semantics and serving Find();
+  // it keeps no rows of its own. Tombstoned slots stay linked, so a
+  // re-insert resurrects the old RowId.
+  FlatHashIndex index_;
   // Memoized columnar image; guarded because readers materialize it lazily
   // on const snapshot-shared tables from concurrent query threads.
   mutable std::mutex columnar_mu_;

@@ -2,9 +2,10 @@
 // with it: ColumnVector/ColumnBatch value fidelity (hash/equality/compare
 // parity with Value), the lazily-materialized columnar view and its
 // invalidation rules, Table::Find's probe coercion (mixed-type literals
-// must locate canonical rows — previously a silent index miss), and the
-// ApproxBytes accounting (index bucket array, SSO-aware strings, columnar
-// view buffers).
+// must locate canonical rows — previously a silent index miss), the
+// table's row index (every slot found across rehashes, resurrection, copy
+// independence), and the ApproxBytes accounting (index arrays, SSO-aware
+// strings, columnar view buffers).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -138,34 +139,91 @@ TEST(TableColumnarViewTest, CopySharesTheMemoizedView) {
   EXPECT_EQ(copy.columnar().get(), view.get());
 }
 
-TEST(TableColumnarViewTest, SlotIndexIsBuiltOncePerImageAndFindsEverySlot) {
-  Table t(0, "t", IntStrSchema());
-  ASSERT_OK(t.Insert({Value::Int(1), Value::String("x")}).status());
-  ASSERT_OK(t.Insert({Value::Int(2), Value::Null()}).status());
-  ASSERT_OK(t.Insert({Value::Null(), Value::String("x")}).status());
-  ASSERT_TRUE(t.Delete(1));
-  auto view = t.columnar();
-  size_t before = view->ApproxBytes();
-  const FlatHashIndex& index = view->SlotIndex();
-  EXPECT_GT(view->ApproxBytes(), before);
-  // Every slot, tombstoned or not, is found under its row's HashRow.
-  for (uint32_t slot = 0; slot < 3; ++slot) {
-    auto same = [&](uint32_t r) {
-      return RowEq()(t.row(r), t.row(slot));
-    };
-    EXPECT_EQ(index.Find(HashRow(t.row(slot)), same), slot);
+// --- The table's row index ------------------------------------------------
+
+/// Every slot, tombstoned or not, is linked under its row's HashRow, and
+/// Find answers exactly the live ones.
+void ExpectIndexFindsEverySlot(const Table& t) {
+  ASSERT_EQ(t.row_index().size(), t.NumRows());
+  for (uint32_t slot = 0; slot < t.NumRows(); ++slot) {
+    auto same = [&](uint32_t r) { return RowEq()(t.row(r), t.row(slot)); };
+    EXPECT_EQ(t.row_index().Find(HashRow(t.row(slot)), same), slot);
+    std::optional<RowId> found = t.Find(t.row(slot));
+    EXPECT_EQ(found.has_value(), t.IsLive(slot)) << "slot " << slot;
+    if (found.has_value()) {
+      EXPECT_EQ(found->row, slot);
+    }
   }
-  // One build per image: the view, a table copy and a resurrection share it.
-  EXPECT_EQ(&view->SlotIndex(), &index);
-  Table copy(t);
-  EXPECT_EQ(&copy.columnar()->SlotIndex(), &index);
-  ASSERT_OK(t.Insert({Value::Int(2), Value::Null()}).status());
-  EXPECT_EQ(&t.columnar()->SlotIndex(), &index);
-  // A new slot means a new image, indexed afresh.
-  ASSERT_OK(t.Insert({Value::Int(3), Value::String("z")}).status());
-  auto rebuilt = t.columnar();
-  auto is_new = [&](uint32_t r) { return r == 3; };
-  EXPECT_EQ(rebuilt->SlotIndex().Find(HashRow(t.row(3)), is_new), 3u);
+}
+
+TEST(TableRowIndexTest, FindsEverySlotAcrossRehashes) {
+  Table t(0, "t", IntStrSchema());
+  // 300 slots cross the head array's doublings at 2, 4, ..., 256; every
+  // 7th row holds a NULL and every 5th slot is tombstoned.
+  for (int i = 0; i < 300; ++i) {
+    Value b = i % 7 == 0 ? Value::Null() : Value::String(std::to_string(i));
+    Value a = i % 7 == 3 ? Value::Null() : Value::Int(i);
+    auto inserted = t.Insert({a, b});
+    ASSERT_OK(inserted.status());
+    ASSERT_EQ(inserted.value().first.row, static_cast<uint32_t>(i));
+    if (i % 5 == 0) {
+      ASSERT_TRUE(t.Delete(static_cast<uint32_t>(i)));
+    }
+    if ((i & (i - 1)) == 0 || (i & (i + 1)) == 0) {
+      ExpectIndexFindsEverySlot(t);  // just before and after a doubling
+    }
+  }
+  ExpectIndexFindsEverySlot(t);
+  EXPECT_FALSE(t.Find({Value::Int(1000), Value::Null()}).has_value());
+}
+
+TEST(TableRowIndexTest, ResurrectionKeepsTheRowId) {
+  Table t(0, "t", IntStrSchema());
+  for (int i = 0; i < 10; ++i) {
+    Row row{Value::Int(i), Value::Null()};
+    ASSERT_OK(t.Insert(row).status());
+  }
+  ASSERT_TRUE(t.Delete(4));
+  Row four{Value::Int(4), Value::Null()};
+  EXPECT_FALSE(t.Find(four).has_value());
+  Row four_as_double{Value::Double(4.0), Value::Null()};
+  auto again = t.Insert(four_as_double);  // coerced to the stored Int(4)
+  ASSERT_OK(again.status());
+  EXPECT_EQ(again.value().first.row, 4u);
+  EXPECT_TRUE(again.value().second);
+  EXPECT_EQ(t.NumRows(), 10u);
+  EXPECT_EQ(t.row_index().size(), 10u);
+  ExpectIndexFindsEverySlot(t);
+}
+
+TEST(TableRowIndexTest, WritesToACopyNeverShowInTheOriginal) {
+  Table original(0, "t", IntStrSchema());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_OK(original.Insert({Value::Int(i), Value::String("x")}).status());
+  }
+  Table copy(original);  // the copy-on-write clone of a shared table
+  // Enough new slots to rehash the copy's index, a tombstone and a
+  // resurrection.
+  for (int i = 6; i < 40; ++i) {
+    ASSERT_OK(copy.Insert({Value::Int(i), Value::String("y")}).status());
+  }
+  ASSERT_TRUE(copy.Delete(0));
+  ASSERT_TRUE(original.Delete(1));
+  ASSERT_OK(original.Insert({Value::Int(1), Value::String("x")}).status());
+  ASSERT_OK(original.Insert({Value::Int(99), Value::String("z")}).status());
+
+  EXPECT_EQ(original.NumRows(), 7u);
+  EXPECT_EQ(original.row_index().size(), 7u);
+  EXPECT_TRUE(original.Find({Value::Int(0), Value::String("x")}).has_value());
+  EXPECT_FALSE(original.Find({Value::Int(6), Value::String("y")}).has_value());
+  ExpectIndexFindsEverySlot(original);
+
+  EXPECT_EQ(copy.NumRows(), 40u);
+  EXPECT_FALSE(copy.Find({Value::Int(0), Value::String("x")}).has_value());
+  EXPECT_FALSE(copy.Find({Value::Int(99), Value::String("z")}).has_value());
+  // The copy's slot 6 holds its own row, not the original's (99, 'z').
+  EXPECT_EQ(copy.Find({Value::Int(6), Value::String("y")})->row, 6u);
+  ExpectIndexFindsEverySlot(copy);
 }
 
 // --- Table::Find probe coercion (the row-probe bugfix) --------------------
@@ -206,7 +264,7 @@ TEST(TableFindTest, DeleteWithMixedTypeLiteralActuallyDeletes) {
 TEST(TableApproxBytesTest, CountsIndexBucketsStringsAndColumnarView) {
   Table t(0, "t", IntStrSchema());
   size_t empty = t.ApproxBytes();
-  // The hash index's bucket array exists even before any insert.
+  // The row index's head array exists even before any insert.
   EXPECT_GT(empty, 0u);
 
   // Long (heap-allocated) strings must dominate short (SSO) ones.

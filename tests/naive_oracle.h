@@ -10,6 +10,9 @@
 // NaiveDetect enumerates every assignment of live rows to the atoms of
 // every denial constraint, and every child row of every foreign key.
 //
+// NaiveApplyDml runs a DELETE or UPDATE by testing its WHERE on every live
+// row — the scan the row-index probe of Database's DML must agree with.
+//
 // Both are quadratic or worse and meant only for tiny instances.
 #pragma once
 
@@ -22,9 +25,11 @@
 #include "constraints/foreign_key.h"
 #include "exec/executor.h"
 #include "exec/operators.h"
+#include "expr/binder.h"
 #include "expr/evaluator.h"
 #include "hypergraph/hypergraph.h"
 #include "plan/logical_plan.h"
+#include "sql/parser.h"
 
 namespace hippo {
 
@@ -240,6 +245,62 @@ inline ConflictHypergraph NaiveDetect(
     }
   }
   return graph;
+}
+
+/// Applies a script of DELETE and UPDATE statements to `catalog` by
+/// scanning: each statement's WHERE is tested on every live row, the
+/// matches are tombstoned, and an UPDATE then inserts its replacement rows,
+/// computed from the pre-update image. Binding and set semantics are
+/// Database's; only the way rows are found differs. No hypergraph is
+/// kept — compare against NaiveDetect over the result.
+inline Status NaiveApplyDml(Catalog* catalog, const std::string& script) {
+  HIPPO_ASSIGN_OR_RETURN(std::vector<sql::Statement> stmts,
+                         sql::ParseScript(script));
+  for (sql::Statement& stmt : stmts) {
+    const auto* del = std::get_if<sql::DeleteStmt>(&stmt.node);
+    const auto* upd = std::get_if<sql::UpdateStmt>(&stmt.node);
+    if (del == nullptr && upd == nullptr) {
+      return Status::InvalidArgument("NaiveApplyDml runs DELETE and UPDATE");
+    }
+    HIPPO_ASSIGN_OR_RETURN(Table * table,
+                           catalog->GetTable(del ? del->table : upd->table));
+    const ExprPtr& where_sql = del ? del->where : upd->where;
+    Schema scope = table->schema().WithQualifier(table->name());
+    ExprBinder binder(scope);
+    ExprPtr where;
+    if (where_sql != nullptr) {
+      where = where_sql->Clone();
+      HIPPO_RETURN_NOT_OK(binder.BindPredicate(where.get()));
+    }
+    std::vector<std::pair<size_t, ExprPtr>> sets;
+    if (upd != nullptr) {
+      for (const auto& [col, value] : upd->assignments) {
+        HIPPO_ASSIGN_OR_RETURN(size_t idx, scope.ResolveColumn("", col));
+        ExprPtr bound = value->Clone();
+        HIPPO_RETURN_NOT_OK(binder.Bind(bound.get()));
+        sets.emplace_back(idx, std::move(bound));
+      }
+    }
+    std::vector<uint32_t> matched;
+    std::vector<Row> replacements;
+    for (uint32_t i = 0; i < table->NumRows(); ++i) {
+      if (!table->IsLive(i)) continue;
+      const Row& row = table->row(i);
+      if (where != nullptr && !EvalPredicate(*where, row)) continue;
+      matched.push_back(i);
+      Row updated = row;
+      for (const auto& [idx, value] : sets) {
+        updated[idx] = EvalExpr(*value, row);
+      }
+      replacements.push_back(std::move(updated));
+    }
+    for (uint32_t i : matched) table->Delete(i);
+    if (upd == nullptr) continue;
+    for (const Row& r : replacements) {
+      HIPPO_RETURN_NOT_OK(table->Insert(r).status());
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace hippo
